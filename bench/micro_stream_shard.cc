@@ -9,10 +9,11 @@
 //    concurrent keys sharing one session value). Historically sharding
 //    helped even single-threaded because each shard's engine scanned only
 //    its own open sessions; the PR-3 inverted correlation index removed
-//    that scan, so single-core throughput now peaks at 1 shard and extra
-//    shards pay for themselves only via the multi-core ObserveBatch
-//    fan-out (see docs/SERVING.md and bench/micro_pipeline.cc's
-//    BM_StreamServeEndToEnd).
+//    that scan, so throughput now peaks at 1 shard. This benchmark uses
+//    the inline executor (worker_threads = 0), which serves the shards in
+//    order on the caller's thread, so extra shards add only routing cost
+//    here; multi-core shard parallelism is the worker-owned executor's
+//    job (BM_ShardWorkerThroughput below). Items/s come from wall time.
 //  * BM_CapacityEvictionSteadyState — per-item cost of StreamServer at the
 //    capacity limit (every item evicts). With the (last_seen, key) index
 //    this is O(log open_keys); the pre-index full scan was O(open_keys)
@@ -105,6 +106,7 @@ void BM_ShardedStreamThroughput(benchmark::State& state) {
                           static_cast<int64_t>(stream.size()));
 }
 BENCHMARK(BM_ShardedStreamThroughput)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_CapacityEvictionSteadyState(benchmark::State& state) {

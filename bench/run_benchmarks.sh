@@ -69,6 +69,9 @@ merge_reports() {
 import json
 import sys
 
+# Google Benchmark reports real_time in each benchmark's own time_unit.
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
 merged = {"context": None, "benchmarks": {}}
 for path in sys.argv[1:-1]:
     with open(path) as f:
@@ -93,7 +96,8 @@ for path in sys.argv[1:-1]:
     }
     for bench in report.get("benchmarks", []):
         entry = {
-            "real_time_ns": bench["real_time"],
+            "real_time_ns": bench["real_time"]
+                            * NS_PER_UNIT[bench.get("time_unit", "ns")],
             "items_per_second": bench.get("items_per_second"),
         }
         for key, value in bench.items():
@@ -163,10 +167,8 @@ merge_reports "${TMP_DIR}/net.json" "${OUT_PR8}"
 # Not a Google Benchmark binary: the soak harness drives the real sharded
 # server and samples /proc RSS, so it writes the merged-report shape
 # directly. The run doubles as an assertion — a non-flat RSS trend exits
-# non-zero and fails the whole script. The soak fans ObserveBatch out over
-# the process ThreadPool, so it ignores the single-thread pinning above by
-# design; per-item cost comparisons live in BENCH_PR3/PR6, this file tracks
-# memory, not throughput.
+# non-zero and fails the whole script. Per-item cost comparisons live in
+# BENCH_PR3/PR6; this file tracks memory, not throughput.
 
 "${BUILD_DIR}/kvec" soak --keys 100000 --scales 0.25,0.5,1 \
   --curve "${OUT_PR9}" --json > /dev/null

@@ -21,6 +21,7 @@
 #include "core/sharded_stream_server.h"
 #include "data/types.h"
 #include "tensor/buffer_pool.h"
+#include "util/allocator_tuning.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -452,8 +453,8 @@ int RunSoakCommand(const std::vector<std::string>& args, std::ostream& out,
   int64_t* shards = parser.AddInt("shards", 4, "serving shards");
   int64_t* workers = parser.AddInt(
       "workers", 0,
-      "shard-owned worker threads (0 = synchronous ingest; N>0 must equal "
-      "--shards)");
+      "shard-owned worker threads (0 = shards run inline on the caller; "
+      "N>0 must equal --shards)");
   int64_t* batch = parser.AddInt("batch", 512, "ObserveBatch microbatch size");
   int64_t* warmup = parser.AddInt(
       "warmup-cycles", 2, "cycles per stage excluded from the flatness band");
@@ -562,6 +563,9 @@ int RunSoakCommand(const std::vector<std::string>& args, std::ostream& out,
   options.compaction_check_interval = static_cast<int>(*compaction_interval);
   options.compaction_threshold = *compaction_threshold;
   options.compaction_min_bytes = *compaction_min_bytes;
+
+  // The soak measures the allocator settings `kvec serve` runs with.
+  PinMmapThreshold(kServingMmapThresholdBytes);
 
   KvecConfig model_config = KvecConfig::ForSpec(SoakSpec());
   model_config.embed_dim = 12;

@@ -13,6 +13,7 @@
 #include <map>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "cli/args.h"
 #include "cli/json_writer.h"
@@ -30,6 +31,7 @@
 #include "metrics/metrics.h"
 #include "net/loadgen.h"
 #include "net/tcp_ingest_server.h"
+#include "util/allocator_tuning.h"
 #include "util/bounded_queue.h"
 #include "util/fault_injection.h"
 #include "util/mutex.h"
@@ -759,12 +761,12 @@ struct ServeOutcome {
   int open_keys_after = 0;
   bool interrupted = false;
   bool checkpoint_failed = false;  // a periodic checkpoint could not be written
-  // Per-shard views (workers/sharded mode only) for the SIGINT report.
+  // Per-shard views (sharded server only) for the SIGINT report.
   std::vector<StreamServerStats> per_shard;
 };
 
-// Thread-safe verdict-accuracy accumulator: the shard workers deliver
-// Submit-path events concurrently through the on_events sink.
+// Thread-safe verdict-accuracy accumulator: shards deliver Submit-path
+// events concurrently through the on_events sink.
 struct EventRecorder {
   const std::map<int, int>* truth = nullptr;
   Mutex mutex;
@@ -885,78 +887,24 @@ Table PerShardTable(const std::vector<StreamServerStats>& per_shard) {
   return table;
 }
 
-// Replays `stream` through a server built from the flags (synchronous
-// ingest: events come back from Observe/ObserveBatch). Shared by serve and
-// bench so the two subcommands cannot drift apart in semantics. Polls the
-// SIGINT flag at batch boundaries; on interrupt the rest of the stream is
-// skipped and no flush runs (keys stay open for --save-checkpoint).
 // Invoked at batch boundaries with the cumulative item count; returning
 // false aborts the replay (the periodic checkpoint could not be written).
 using ReplayTick = std::function<bool(int64_t fed)>;
 
+// The one replay loop behind serve and bench, so the two subcommands cannot
+// drift apart in semantics. Feeds `stream` in `batch`-item batches
+// (--batch 1 feeds one-item batches): a sharded server takes them through
+// Submit, with events reaching `recorder` through its on_events sink; the
+// bare StreamServer returns them from ObserveBatch. Polls the SIGINT flag
+// at batch boundaries; on interrupt the rest of the stream is skipped and
+// no flush runs (keys stay open for --save-checkpoint). Throughput counts
+// *processed* items (offered minus shed), from the items_processed delta
+// so a --load-checkpoint baseline is excluded.
 template <typename Server>
-ServeOutcome ReplayStream(Server& server, const std::vector<Item>& stream,
-                          int batch, bool flush,
-                          const std::map<int, int>& truth,
-                          const ReplayTick& tick = nullptr) {
-  ServeOutcome outcome;
-  auto record = [&](const std::vector<StreamEvent>& events) {
-    for (const StreamEvent& event : events) {
-      auto it = truth.find(event.key);
-      if (it != truth.end()) {
-        ++outcome.labelled;
-        if (event.predicted_label == it->second) ++outcome.correct;
-      }
-    }
-  };
-  const auto start = std::chrono::steady_clock::now();
-  int64_t fed = 0;
-  if (batch <= 1) {
-    for (const Item& item : stream) {
-      if (g_serve_interrupted.load()) break;
-      (void)KVEC_FAULT_POINT("serve.batch");
-      record(server.Observe(item));
-      ++fed;
-      if (tick && !tick(fed)) {
-        outcome.checkpoint_failed = true;
-        break;
-      }
-    }
-  } else {
-    for (size_t begin = 0; begin < stream.size();
-         begin += static_cast<size_t>(batch)) {
-      if (g_serve_interrupted.load()) break;
-      (void)KVEC_FAULT_POINT("serve.batch");
-      size_t end = std::min(stream.size(), begin + static_cast<size_t>(batch));
-      record(server.ObserveBatch(
-          std::vector<Item>(stream.begin() + begin, stream.begin() + end)));
-      fed += static_cast<int64_t>(end - begin);
-      if (tick && !tick(fed)) {
-        outcome.checkpoint_failed = true;
-        break;
-      }
-    }
-  }
-  outcome.interrupted = g_serve_interrupted.load();
-  if (flush && !outcome.interrupted) record(server.Flush());
-  const auto stop = std::chrono::steady_clock::now();
-  outcome.seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(stop - start)
-          .count();
-  outcome.items = fed;
-  outcome.stats = server.stats();
-  outcome.open_keys_after = server.open_keys();
-  return outcome;
-}
-
-// The overload-policy replay: fire-and-forget Submit into the shard
-// workers, events recorded by `recorder` through the on_events sink.
-// Throughput reported over *processed* items (offered minus shed), from
-// the items_processed delta so a --load-checkpoint baseline is excluded.
-ServeOutcome ReplaySubmitStream(ShardedStreamServer& server,
-                                EventRecorder* recorder,
-                                const std::vector<Item>& stream, int batch,
-                                bool flush, const ReplayTick& tick = nullptr) {
+ServeOutcome ReplayStream(Server& server, EventRecorder* recorder,
+                          const std::vector<Item>& stream, int batch,
+                          bool flush, const ReplayTick& tick = nullptr) {
+  constexpr bool kSharded = std::is_same_v<Server, ShardedStreamServer>;
   ServeOutcome outcome;
   const int64_t processed_before = server.stats().items_processed;
   const size_t step = static_cast<size_t>(std::max(1, batch));
@@ -965,18 +913,23 @@ ServeOutcome ReplaySubmitStream(ShardedStreamServer& server,
   for (size_t begin = 0; begin < stream.size(); begin += step) {
     if (g_serve_interrupted.load()) break;
     (void)KVEC_FAULT_POINT("serve.batch");
-    size_t end = std::min(stream.size(), begin + step);
-    server.Submit(
-        std::vector<Item>(stream.begin() + begin, stream.begin() + end));
+    const size_t end = std::min(stream.size(), begin + step);
+    const std::vector<Item> items(stream.begin() + begin,
+                                  stream.begin() + end);
+    if constexpr (kSharded) {
+      server.Submit(items);
+    } else {
+      recorder->Record(server.ObserveBatch(items));
+    }
     offered += static_cast<int64_t>(end - begin);
-    // The periodic checkpoint runs as a shard control task, so it is safe
-    // to take while the workers keep draining their queues.
+    // The periodic checkpoint runs as a shard task, so it is safe to take
+    // while shard workers keep draining their queues.
     if (tick && !tick(offered)) {
       outcome.checkpoint_failed = true;
       break;
     }
   }
-  server.Drain();
+  if constexpr (kSharded) server.Drain();
   outcome.interrupted = g_serve_interrupted.load();
   if (flush && !outcome.interrupted) recorder->Record(server.Flush());
   const auto stop = std::chrono::steady_clock::now();
@@ -1169,8 +1122,9 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
   }
   int64_t* workers = parser.AddInt(
       "workers", workers_default,
-      "shard-owned worker threads (0 = synchronous ingest; N>0 = one worker "
-      "per shard, implies --shards N; default from KVEC_SHARD_WORKERS)");
+      "shard-owned worker threads (0 = shards run inline on the caller; "
+      "N>0 = one worker per shard, implies --shards N; default from "
+      "KVEC_SHARD_WORKERS)");
   int64_t* queue_depth = parser.AddInt(
       "queue-depth", 256,
       "per-shard bounded task-queue capacity, in batches (workers mode)");
@@ -1343,6 +1297,9 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
   std::vector<Item> stream = InterleaveEpisodes(
       *episodes, dataset.spec.max_keys_per_episode, &truth);
 
+  // From here on the process is a server (util/allocator_tuning.h).
+  PinMmapThreshold(kServingMmapThresholdBytes);
+
   StreamServerConfig server_config;
   server_config.max_window_items = static_cast<int>(*max_window);
   server_config.idle_timeout = static_cast<int>(*idle_timeout);
@@ -1351,6 +1308,14 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
       static_cast<int>(*compaction_interval);
   server_config.compaction_fragmentation_threshold = *compaction_threshold;
   server_config.compaction_min_bytes = *compaction_min_bytes;
+
+  // One sharded-server configuration for local replay and --listen.
+  ShardedStreamServerConfig sharded_config;
+  sharded_config.num_shards = static_cast<int>(*shards);
+  sharded_config.worker_threads = static_cast<int>(*workers);
+  sharded_config.queue_depth = static_cast<int>(*queue_depth);
+  sharded_config.overload_policy = overload_policy;
+  sharded_config.shard = server_config;
 
   if (listen != nullptr && !listen->empty()) {
     if (*max_connections <= 0) {
@@ -1368,12 +1333,6 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
           << *net_idle_timeout << "\n";
       return kExitUsage;
     }
-    ShardedStreamServerConfig sharded_config;
-    sharded_config.num_shards = static_cast<int>(*shards);
-    sharded_config.worker_threads = static_cast<int>(*workers);
-    sharded_config.queue_depth = static_cast<int>(*queue_depth);
-    sharded_config.overload_policy = overload_policy;
-    sharded_config.shard = server_config;
     ListenOptions options;
     options.listen = *listen;
     options.port_file = *port_file;
@@ -1392,22 +1351,15 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
   std::vector<ServeOutcome> outcomes;
   for (int run = 0; run < runs; ++run) {
     ServeOutcome outcome;
+    EventRecorder recorder;
+    recorder.truth = &truth;
     if (*shards > 1 || *workers > 0 || ckpt_every > 0) {
-      EventRecorder recorder;
-      recorder.truth = &truth;
-      ShardedStreamServerConfig sharded_config;
-      sharded_config.num_shards = static_cast<int>(*shards);
-      sharded_config.worker_threads = static_cast<int>(*workers);
-      sharded_config.queue_depth = static_cast<int>(*queue_depth);
-      sharded_config.overload_policy = overload_policy;
-      if (*workers > 0) {
-        sharded_config.on_events =
-            [&recorder](int /*shard*/, const std::vector<StreamEvent>& events) {
-              recorder.Record(events);
-            };
-      }
-      sharded_config.shard = server_config;
-      ShardedStreamServer server(*model, sharded_config);
+      ShardedStreamServerConfig run_config = sharded_config;
+      run_config.on_events =
+          [&recorder](int /*shard*/, const std::vector<StreamEvent>& events) {
+            recorder.Record(events);
+          };
+      ShardedStreamServer server(*model, run_config);
       ShardedStreamServer::IncrementalCheckpointState inc_state;
       if (!load_checkpoint->empty()) {
         // With incremental checkpointing on, the load path is the head of a
@@ -1435,12 +1387,8 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
                                               &inc_state);
         };
       }
-      outcome = *workers > 0
-                    ? ReplaySubmitStream(server, &recorder, stream,
-                                         static_cast<int>(*batch), *flush,
-                                         tick)
-                    : ReplayStream(server, stream, static_cast<int>(*batch),
-                                   *flush, truth, tick);
+      outcome = ReplayStream(server, &recorder, stream,
+                             static_cast<int>(*batch), *flush, tick);
       outcome.per_shard.reserve(server.num_shards());
       for (int s = 0; s < server.num_shards(); ++s) {
         outcome.per_shard.push_back(server.shard_stats(s));
@@ -1470,8 +1418,8 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
         return RuntimeError(
             "cannot restore checkpoint '" + *load_checkpoint + "'", err);
       }
-      outcome = ReplayStream(server, stream, static_cast<int>(*batch),
-                             *flush, truth);
+      outcome = ReplayStream(server, &recorder, stream,
+                             static_cast<int>(*batch), *flush);
       if (!save_checkpoint->empty() &&
           !server.SaveCheckpoint(*save_checkpoint)) {
         return RuntimeError(

@@ -1,35 +1,43 @@
 // Concurrent stream serving: N StreamServer shards behind a key hash.
 //
-// One StreamServer is inherently serial — every item mutates one engine,
-// one open-key map, one stats block. ShardedStreamServer partitions the
-// key space across `num_shards` independent shards, each owning a full
-// StreamServer (engine + open-key state + stats), in one of two execution
-// modes:
+// KVEC's key correlation, value correlation and halting policy need one
+// thing from a serving stack: a key's items arrive in order. One
+// StreamServer is inherently serial (one engine, one open-key map, one
+// stats block), so ShardedStreamServer partitions the key space across
+// `num_shards` independent shards, each owning a full StreamServer
+// (engine + open-key state + stats).
 //
-//   * synchronous (worker_threads = 0, the default) — callers run the
-//     shard engines in place, serialized on a per-shard mutex;
-//     ObserveBatch fans a batch out across shards on the global
-//     ThreadPool. Deterministic and byte-identical to the historical
-//     behavior: the replay/golden/equivalence tests run this mode.
-//   * shard-owned workers (worker_threads = num_shards) — each shard owns
-//     one worker thread plus a bounded MPSC task queue
-//     (util/bounded_queue.h). ALL shard-state mutation happens on the
-//     owning worker, so the hot update path takes no shard lock; queries
-//     (stats, flush, checkpoint snapshot) route to the owning shard as
-//     control tasks and are answered at a batch boundary, never mid-batch.
+// Every shard runs its work through one executor. Each operation below is
+// a task handed to the shard's executor, and every task runs under that
+// shard's mutex. The executor has two runners:
+//
+//   * inline (worker_threads = 0, the default) — the task runs now, on
+//     the caller's thread; a call touching several shards serves them in
+//     shard order. Deterministic: the replay/golden/equivalence tests pin
+//     this runner. Racing callers serialize on the shard mutex.
+//   * worker-owned (worker_threads = num_shards) — each shard owns one
+//     worker thread plus a bounded MPSC task queue (util/bounded_queue.h).
+//     Tasks are pushed onto the queue and the worker runs them in FIFO
+//     order, taking the shard mutex uncontended (nothing else takes it).
 //     Overload is a first-class condition: when a shard's queue is full,
-//     `overload_policy` decides whether the producer blocks
+//     `overload_policy` decides whether a Submit producer blocks
 //     (backpressure), the new batch is dropped, or the oldest queued batch
-//     is dropped — every dropped batch/item is counted in the
+//     is dropped. Every dropped batch/item is counted in the
 //     batches_shed/items_shed stats, never lost silently.
 //
-// Async ingest has two shapes. `Submit` is fire-and-forget: it routes the
-// batch, enqueues per-shard sub-batches under the overload policy, and
-// returns immediately; events surface through `config.on_events` on the
-// worker threads. `Observe`/`ObserveBatch`/`Flush` keep their synchronous
-// signatures in both modes — in async mode they run as control tasks the
-// caller waits on, so their event sequences match the synchronous mode
-// exactly (they bypass the overload policy; only Submit can shed).
+// Ingest has two shapes. `Submit` is fire-and-forget: it routes the batch
+// and hands one sub-batch per shard to the executor; events surface through
+// `config.on_events`. `Observe`/`ObserveBatch`/`Flush` hand the executor
+// waited-on tasks and return the events, so their event sequences are the
+// same under both runners (they bypass the overload policy; only Submit can
+// shed).
+//
+// What a query sees: each shard answers at one of its own task boundaries,
+// never mid-batch, so one shard's counters always partition. Shards answer
+// one after another, not at one instant: a merged stats() or a checkpoint
+// taken while producers are running can see a sharded batch in some shards
+// and not yet in others. Quiescing is the caller's protocol (stop
+// submitting, Drain, then query).
 //
 // The trade-off, stated once here and assumed everywhere: cross-shard
 // value correlations are cut. Two keys that hash to different shards never
@@ -62,18 +70,20 @@ namespace kvec {
 
 struct ShardedStreamServerConfig {
   int num_shards = 8;
-  // 0 = synchronous mode; num_shards = one owned worker thread per shard.
-  // Other values are rejected (the model is one worker per shard — scale
-  // workers by scaling shards).
+  // Which runner executes shard tasks: 0 = inline on the caller's thread;
+  // num_shards = one owned worker thread per shard. Other values are
+  // rejected (the model is one worker per shard — scale workers by scaling
+  // shards).
   int worker_threads = 0;
-  // Per-shard bounded task-queue capacity, in tasks (async mode only).
+  // Per-shard bounded task-queue capacity, in tasks (worker-owned only).
   int queue_depth = 256;
-  // What a full shard queue does to a Submit batch (async mode only).
+  // What a full shard queue does to a Submit batch (worker-owned only).
   OverloadPolicy overload_policy = OverloadPolicy::kBlock;
-  // Event sink for Submit-ingested batches. Async mode: invoked on the
-  // owning worker thread after each processed batch, concurrently across
-  // shards — the sink must be thread-safe. Sync mode: invoked inline from
-  // Submit. Events returned by Observe/ObserveBatch/Flush do NOT pass
+  // Event sink for Submit-ingested batches, invoked after each processed
+  // sub-batch outside the shard mutex: on the owning worker (worker-owned)
+  // or on the submitting thread (inline). Shards call it concurrently, so
+  // the sink must be thread-safe, and it must not call back into the
+  // server. Events returned by Observe/ObserveBatch/Flush do NOT pass
   // through the sink (the caller already holds them).
   std::function<void(int shard, const std::vector<StreamEvent>& events)>
       on_events;
@@ -84,7 +94,8 @@ struct ShardedStreamServerConfig {
 class ShardedStreamServer {
  public:
   // `model` must be trained and outlive the server. Builds `num_shards`
-  // independent engines and, in async mode, starts the shard workers.
+  // independent engines and, for the worker-owned runner, starts the shard
+  // workers.
   ShardedStreamServer(const KvecModel& model,
                       const ShardedStreamServerConfig& config);
 
@@ -98,13 +109,11 @@ class ShardedStreamServer {
   // The shard an item with this key is routed to (deterministic hash).
   int ShardOf(int key) const;
 
-  // Synchronous-semantics ingest: returns the item's events. Thread-safe
-  // in both modes; in async mode it rides the task queue as a waited-on
-  // control task (never shed).
+  // Waited-on ingest: returns the item's events. Thread-safe; never shed.
   std::vector<StreamEvent> Observe(const Item& item);
 
-  // Batched ingest with synchronous semantics: fans `items` out to their
-  // shards (sync mode: global ThreadPool; async mode: the shard workers),
+  // Waited-on batched ingest: routes `items` to their shards (inline: served
+  // in shard order; worker-owned: in parallel on the shard workers),
   // handing each shard its sub-batch as one contiguous microbatch
   // (StreamServer::ObserveBatch — arrival order within the shard
   // preserved, encoder projections batched through GEMM). Returned events
@@ -120,7 +129,7 @@ class ShardedStreamServer {
   // Every accepted item is eventually processed (visible via on_events and
   // stats); every dropped one is counted. After Drain() the overload
   // invariant holds: items_submitted == items_processed + items_shed.
-  // Sync mode: runs inline (nothing to shed) with events to on_events.
+  // Inline: runs each sub-batch on the caller's thread (nothing to shed).
   // Returns how many items this call caused to be shed (0 = nothing
   // dropped): the incoming sub-batches under kShedNewest, older queued
   // batches under kShedOldest. This is what lets the TCP front end answer
@@ -128,28 +137,28 @@ class ShardedStreamServer {
   // stats.
   int64_t Submit(const std::vector<Item>& items);
 
-  // Blocks until every task enqueued before this call has been processed.
-  // Sync mode: no-op. Does not stop concurrent producers — quiescing is
-  // the caller's protocol (stop submitting, then Drain).
+  // Blocks until every task handed to the shards before this call has run
+  // (inline: they all already have). Does not stop concurrent producers —
+  // quiescing is the caller's protocol (stop submitting, then Drain).
   void Drain();
 
-  // Force-classifies all still-open keys on every shard (waited-on control
-  // task in async mode; drains each shard's queue first by FIFO order).
+  // Force-classifies all still-open keys on every shard (a waited-on task,
+  // so a worker-owned shard first runs everything already queued).
   std::vector<StreamEvent> Flush();
 
   // Merged view across shards: counters and class_counts are summed;
   // windows_started is the total across shards (each shard starts at 1);
   // items_submitted/batches_shed/items_shed aggregate the transport-layer
-  // counters. The snapshot is coherent: sync mode holds ALL shard mutexes
-  // while copying (no shard can be mid-batch); async mode answers through
-  // each shard's task queue at a batch boundary.
+  // counters. Each shard answers at its own task boundary (see the header
+  // comment): per-shard counters partition, the cross-shard view is only
+  // as consistent as the caller's quiescing.
   StreamServerStats stats() const;
 
   // One shard's own stats (same snapshot discipline as stats()).
   StreamServerStats shard_stats(int shard) const;
 
   // Forces a pool compaction on every shard (StreamServer::Compact), one
-  // shard at a time through the owner seam — shard s rebuilds its pool
+  // shard at a time through the executor — shard s rebuilds its pool
   // while every other shard keeps serving, so it composes with the
   // overload policies the same way checkpoint encode does. Returns how
   // many shards actually compacted (the `compaction.run` fault point can
@@ -159,16 +168,14 @@ class ShardedStreamServer {
 
   int open_keys() const;
   int num_shards() const { return static_cast<int>(shards_.size()); }
-  bool asynchronous() const { return config_.worker_threads > 0; }
 
   // ---- Checkpoint / warm restart (docs/SERVING.md). ----
   //
   // The checkpoint is a manifest section (shard count — restore fails on a
   // mismatch, since the key hash routes by shard count) plus one section
-  // per shard holding that shard's full StreamServer snapshot. Sync mode
-  // snapshots each shard under its mutex; async mode snapshots on the
-  // owning worker behind everything already queued (quiesce =
-  // drain-then-snapshot per shard). For a cross-shard-consistent
+  // per shard holding that shard's full StreamServer snapshot, taken as a
+  // task on that shard's executor (a worker-owned shard first runs
+  // everything already queued). For a cross-shard-consistent
   // checkpoint, stop submitting first (concurrent ingest would land in
   // some shards' snapshots and not others).
   //
@@ -204,7 +211,7 @@ class ShardedStreamServer {
   // the keys mutated since the previous link, or — when no base exists
   // yet, or `rebase_every` > 0 deltas have accumulated — a fresh full
   // base (the rebase bounds both restore time and on-disk chain length).
-  // Shards are serialized ONE AT A TIME through the worker seam, so the
+  // Shards are serialized ONE AT A TIME through the executor, so the
   // rest of the fleet keeps serving during a snapshot; dirty bits are
   // cleared only after the bytes are durably on disk (a failed write —
   // see the `checkpoint.delta` fault point — leaves the server serving,
@@ -226,83 +233,77 @@ class ShardedStreamServer {
                                   IncrementalCheckpointState* state = nullptr);
 
  private:
-  // One queue entry: an item batch (fn empty) or a control task.
+  using ServerSlot = std::unique_ptr<StreamServer>;
+  // A waited-on task gets the shard index and the server slot (restore
+  // swaps the server in through it).
+  using ShardFn = std::function<void(int shard, ServerSlot& server)>;
+
+  // One unit of shard work: a Submit sub-batch (fn empty; sheddable) or a
+  // waited-on task.
   struct ShardTask {
     std::vector<Item> items;
-    std::function<void(StreamServer&)> fn;
+    std::function<void(ServerSlot&)> fn;
   };
+  using PushResult = BoundedQueue<ShardTask>::PushResult;
 
   struct Shard {
-    // Sync mode: every access to `server` holds this mutex, and the
-    // KVEC_GUARDED_BY below makes clang -Wthread-safety reject any that
-    // does not. Async mode: the mutex is idle — `server` is owned by the
-    // shard's worker thread and reached only through WorkerOwnedServer /
-    // InstallServer, the two audited ownership-transfer points.
+    // Every task holds this mutex while it touches `server`, under both
+    // runners; KVEC_GUARDED_BY makes clang -Wthread-safety reject any
+    // access that does not. Inline, racing callers serialize on it;
+    // worker-owned, only the worker takes it.
     mutable Mutex mutex;
-    std::unique_ptr<StreamServer> server KVEC_GUARDED_BY(mutex);
-    std::unique_ptr<BoundedQueue<ShardTask>> queue;  // async mode only
-    std::thread worker;                              // async mode only
+    ServerSlot server KVEC_GUARDED_BY(mutex);
+    std::unique_ptr<BoundedQueue<ShardTask>> queue;  // worker-owned only
+    std::thread worker;                              // worker-owned only
     // Transport-layer counters. Producers bump submitted/shed (Submit may
     // shed on the producer thread); stats snapshots read them. Atomics:
-    // deliberately outside the mutex so the Submit hot path never locks.
+    // deliberately outside the mutex so the Submit path never locks for
+    // them.
     std::atomic<int64_t> items_submitted{0};
     std::atomic<int64_t> batches_shed{0};
     std::atomic<int64_t> items_shed{0};
   };
 
-  void WorkerLoop(Shard* shard, int shard_index);
-  // Posts `fn` to every shard (async: non-sheddable control task; sync:
-  // runs under the shard mutex) and blocks until all shards ran it.
-  void RunOnAllShards(const std::function<void(int, StreamServer&)>& fn) const;
-  // Same seam for ONE shard: runs `fn` on the owning worker (async) or
-  // under the shard mutex (sync) and blocks until it ran. Checkpoint
-  // encode and CompactAll iterate this so only one shard is paused at a
-  // time while the rest of the fleet keeps serving.
-  void RunOnShard(int shard,
-                  const std::function<void(StreamServer&)>& fn) const;
+  // The executor seam, and the one place past construction that reads
+  // worker_threads. Inline: runs `task` now on the calling thread.
+  // Worker-owned: pushes it onto the shard's queue — sheddable tasks under
+  // overload_policy, the rest blocking for space (a saturated queue delays
+  // a query, it cannot lose one) — and the worker runs it later. Returns
+  // the queue verdict (inline: kAccepted); batches evicted under
+  // kShedOldest are appended to `shed`.
+  PushResult Dispatch(int shard, ShardTask task, bool sheddable,
+                      std::vector<ShardTask>* shed) const;
+  // Runs one task under the shard mutex: the only code that touches a
+  // shard's server.
+  void RunTask(int shard, ShardTask& task) const;
+  // Runs `fn` through the executor on each of `shards` (ascending) and
+  // blocks until every one ran. RunOnShard/RunOnAllShards are the one- and
+  // all-shard forms; checkpoint encode and CompactAll iterate RunOnShard so
+  // only one shard is paused at a time while the rest keep serving.
+  void RunOnShards(const std::vector<int>& shards, const ShardFn& fn) const;
+  void RunOnShard(int shard, const ShardFn& fn) const;
+  void RunOnAllShards(const ShardFn& fn) const;
+
+  // Splits `items` into per-shard sub-batches, arrival order preserved.
+  std::vector<std::vector<Item>> Route(const std::vector<Item>& items) const;
   // Charges `count` dropped items against `shard`'s shed counters.
   static void CountShed(Shard* shard, int64_t batches, int64_t items);
-
-  // The synchronous-mode ingest body: requires the shard mutex, which is
-  // what pins "callers run the shard engines in place, serialized on a
-  // per-shard mutex" at compile time — delete the KVEC_REQUIRES and the
-  // clang -Wthread-safety build fails on the guarded access inside.
-  static std::vector<StreamEvent> ObserveBatchLocked(
-      Shard& shard, const std::vector<Item>& items) KVEC_REQUIRES(shard.mutex);
-
-  // Ownership-transfer point 1 (async mode): the worker's view of its own
-  // shard. Safe without the mutex because (a) `server` is written before
-  // the worker thread is spawned (constructor) or through InstallServer on
-  // this same worker (restore), and (b) the queue's internal mutex gives
-  // the worker a happens-before edge with every producer. Justification
-  // for the escape hatch: TSA has no notion of thread ownership.
-  static StreamServer& WorkerOwnedServer(Shard& shard)
-      KVEC_NO_THREAD_SAFETY_ANALYSIS;
-
-  // Ownership-transfer point 2 (checkpoint restore commit): swaps a staged
-  // server in. Runs either under the shard mutex (sync mode, via
-  // RunOnAllShards) or on the owning worker (async mode) — both exclusive,
-  // but expressed as "lock OR ownership", which TSA cannot state.
-  static void InstallServer(Shard& shard,
-                            std::unique_ptr<StreamServer> server)
-      KVEC_NO_THREAD_SAFETY_ANALYSIS;
-
   // Copies the transport atomics into an engine-stats snapshot the caller
   // already owns (no lock needed: the counters are atomics by design).
   static StreamServerStats MergeTransportCounters(const Shard& shard,
                                                   StreamServerStats stats);
 
-  // The sync-mode coherent stats snapshot: acquires EVERY shard mutex in
-  // index order, copies, releases. A dynamically-sized, loop-acquired lock
-  // set is outside what TSA can model, so this one function opts out;
-  // safety argument: index order is the only multi-mutex order in this
-  // class, so no cycle is possible, and the loop releases exactly what it
-  // acquired.
-  std::vector<StreamServerStats> SnapshotAllShardsLocked() const
-      KVEC_NO_THREAD_SAFETY_ANALYSIS;
+  // Appends one `section_id` section per shard: the shard index, then what
+  // `write` serializes on that shard's executor, one shard at a time.
+  void AppendShardSections(
+      int32_t section_id,
+      const std::function<void(StreamServer&, BinaryWriter*)>& write,
+      Checkpoint* checkpoint) const;
 
-  // Shared bodies of the four checkpoint entry points.
-  Checkpoint BuildCheckpoint() const;
+  // Shared bodies of the four checkpoint entry points. With
+  // `stage_delta_baseline`, each shard also stages its dirty-key baseline
+  // in the same task as its snapshot (an incremental rebase).
+  Checkpoint BuildCheckpoint(bool stage_delta_baseline = false) const;
   bool RestoreFromCheckpoint(const Checkpoint& checkpoint);
   // Restore split in two so the chain loader can apply deltas between the
   // staging and the commit: Stage parses a full checkpoint into fresh

@@ -177,9 +177,6 @@ class StreamServer {
   // halt probability sitting exactly on the 0.5 threshold could flip.
   std::vector<StreamEvent> ObserveBatch(const std::vector<Item>& items);
 
-  // Serving-API alias for Observe.
-  std::vector<StreamEvent> Push(const Item& item) { return Observe(item); }
-
   // Force-classifies all still-open keys (end of stream).
   std::vector<StreamEvent> Flush();
 

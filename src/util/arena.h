@@ -20,11 +20,11 @@
 //    arena plateaus at the largest batch ever encoded.
 //
 // Threading: none of these are thread-safe, deliberately. Each instance
-// is owned by exactly one StreamServer shard, and all access runs on the
-// shard's owner (the worker thread in worker mode, the caller under the
-// shard mutex otherwise) — the same single-writer discipline that
-// protects the shard itself (docs/SERVING.md "Memory management"). The
-// lock-annotation story is therefore inherited from the owning seam:
+// is owned by exactly one StreamServer shard, and all access runs in a
+// shard task under the shard mutex (on the shard's worker or inline on the
+// caller) — the same single-writer discipline that protects the shard
+// itself (docs/SERVING.md "Memory management"). The lock-annotation story
+// is therefore inherited from the shard executor:
 // ShardedStreamServer's `server GUARDED_BY(mutex)` covers everything the
 // server owns, including its pool. std::pmr::unsynchronized_pool_resource
 // is the point: no internal locks to pay for on the hot path.

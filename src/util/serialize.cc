@@ -1,5 +1,9 @@
 #include "util/serialize.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -313,19 +317,50 @@ uint64_t CheckpointFingerprint(const std::string& bytes) {
   return hash;
 }
 
+namespace {
+
+// Writes all of `bytes` to `fd`, retrying short writes and EINTR. A short
+// write that makes no progress (RLIMIT_FSIZE, a full disk) fails.
+bool WriteAll(int fd, const std::string& bytes) {
+  size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    done += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+// fsyncs the directory holding `path`, which is what makes a rename into
+// it survive power loss.
+bool SyncParentDirectory(const std::string& path) {
+  const size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0                ? "/"
+                                                      : path.substr(0, slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool synced = ::fsync(fd) == 0;
+  return ::close(fd) == 0 && synced;
+}
+
+}  // namespace
+
 bool AtomicWriteFile(const std::string& path, const std::string& bytes) {
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out) return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return false;
+  // Every byte written, flushed to the device, and the descriptor closed
+  // cleanly — or the temporary is removed and the old file stays as it was.
+  bool ok = WriteAll(fd, bytes) && ::fsync(fd) == 0;
+  ok = ::close(fd) == 0 && ok;
+  if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     return false;
   }
-  return true;
+  return SyncParentDirectory(path);
 }
 
 }  // namespace kvec

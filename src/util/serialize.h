@@ -176,7 +176,11 @@ uint64_t CheckpointFingerprint(const std::string& bytes);
 
 // Writes `bytes` to `path` via a sibling ".tmp" file + rename, so a crash
 // mid-write leaves either the old file or the complete new one on disk,
-// never a torn one. Delta-chain writes go through this.
+// never a torn one. The file is fsynced before the rename and its
+// directory after it, so a true return means the bytes are durably on disk.
+// On false the ".tmp" is removed and `path` is untouched (unless only the
+// directory fsync failed, after the rename). Delta-chain writes go through
+// this.
 bool AtomicWriteFile(const std::string& path, const std::string& bytes);
 
 }  // namespace kvec

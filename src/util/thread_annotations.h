@@ -11,9 +11,8 @@
 // libstdc++'s std::mutex carries no capability attribute, so raw
 // std::mutex members are invisible to the analysis. Lock-protected code
 // uses the annotated wrappers in util/mutex.h (kvec::Mutex, kvec::MutexLock,
-// kvec::CondVar) instead; the conventions — when GUARDED_BY applies, when
-// worker-thread ownership replaces a lock, and the policy for
-// KVEC_NO_THREAD_SAFETY_ANALYSIS — are documented in
+// kvec::CondVar) instead; the conventions — when GUARDED_BY applies and
+// the policy for KVEC_NO_THREAD_SAFETY_ANALYSIS — are documented in
 // docs/STATIC_ANALYSIS.md.
 #pragma once
 
@@ -59,9 +58,8 @@
 // (lets accessors expose a member mutex without losing analysis).
 #define KVEC_RETURN_CAPABILITY(x) KVEC_THREAD_ANNOTATION(lock_returned(x))
 
-// Escape hatch: disables the analysis for one function. Policy
-// (docs/STATIC_ANALYSIS.md): allowed ONLY where the safety argument is
-// ownership or ordering the analysis cannot express — each use carries a
-// justification comment naming the happens-before edge that makes it safe.
+// Escape hatch: disables the analysis for one function. The tree uses it
+// nowhere; scripts/kvec_lint.py's `tsa-escape` rule flags any use outside
+// this file that lacks a reasoned suppression (docs/STATIC_ANALYSIS.md).
 #define KVEC_NO_THREAD_SAFETY_ANALYSIS \
   KVEC_THREAD_ANNOTATION(no_thread_safety_analysis)

@@ -67,7 +67,22 @@ void Record(const std::vector<StreamEvent>& events, VerdictMap* verdicts) {
   }
 }
 
-TEST(ShardedStreamServerTest, MatchesOneServerPerPartition) {
+// Runs a case under both shard executors: inline (false) and
+// worker-owned, one worker per shard (true).
+class ShardedExecutorTest : public ::testing::TestWithParam<bool> {
+ protected:
+  int WorkerThreads(int num_shards) const {
+    return GetParam() ? num_shards : 0;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Executors, ShardedExecutorTest,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "WorkerOwned" : "Inline";
+                         });
+
+TEST_P(ShardedExecutorTest, MatchesOneServerPerPartition) {
   // Keys are partitioned by ShardOf, so no cross-shard correlation exists
   // that a per-partition StreamServer would not also cut: the sharded
   // server must emit identical per-key verdicts to one plain StreamServer
@@ -75,6 +90,7 @@ TEST(ShardedStreamServerTest, MatchesOneServerPerPartition) {
   Fixture fixture = TrainSmallModel(71);
   ShardedStreamServerConfig config;
   config.num_shards = 4;
+  config.worker_threads = WorkerThreads(config.num_shards);
   ShardedStreamServer sharded(*fixture.model, config);
 
   std::vector<std::unique_ptr<StreamServer>> partitions;
@@ -98,10 +114,11 @@ TEST(ShardedStreamServerTest, MatchesOneServerPerPartition) {
   EXPECT_EQ(sharded_verdicts, partition_verdicts);
 }
 
-TEST(ShardedStreamServerTest, ObserveBatchMatchesPerItemObserve) {
+TEST_P(ShardedExecutorTest, ObserveBatchMatchesPerItemObserve) {
   Fixture fixture = TrainSmallModel(72);
   ShardedStreamServerConfig config;
   config.num_shards = 4;
+  config.worker_threads = WorkerThreads(config.num_shards);
   ShardedStreamServer batched(*fixture.model, config);
   ShardedStreamServer per_item(*fixture.model, config);
 
@@ -133,10 +150,11 @@ TEST(ShardedStreamServerTest, ObserveBatchMatchesPerItemObserve) {
   EXPECT_EQ(batched_stats.policy_halts, per_item_stats.policy_halts);
 }
 
-TEST(ShardedStreamServerTest, MergedStatsAddUp) {
+TEST_P(ShardedExecutorTest, MergedStatsAddUp) {
   Fixture fixture = TrainSmallModel(73);
   ShardedStreamServerConfig config;
   config.num_shards = 3;
+  config.worker_threads = WorkerThreads(config.num_shards);
   ShardedStreamServer server(*fixture.model, config);
 
   const std::vector<Item> stream = GlobalStream(fixture.dataset);
@@ -167,10 +185,11 @@ TEST(ShardedStreamServerTest, MergedStatsAddUp) {
   EXPECT_EQ(per_shard_verdicts, stats.sequences_classified);
 }
 
-TEST(ShardedStreamServerTest, EveryKeyGetsExactlyOneVerdict) {
+TEST_P(ShardedExecutorTest, EveryKeyGetsExactlyOneVerdict) {
   Fixture fixture = TrainSmallModel(74);
   ShardedStreamServerConfig config;
   config.num_shards = 5;
+  config.worker_threads = WorkerThreads(config.num_shards);
   ShardedStreamServer server(*fixture.model, config);
 
   VerdictMap verdicts;

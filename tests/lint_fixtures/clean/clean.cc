@@ -4,6 +4,7 @@
 
 #include "util/check.h"
 #include "util/fault_injection.h"
+#include "util/thread_annotations.h"
 
 int FixtureCleanUse() {
   // kvec-lint: allow-next(naked-new) exercising the suppression syntax
@@ -15,3 +16,6 @@ int FixtureCleanUse() {
   delete p;
   return value + FixtureClean();
 }
+
+// kvec-lint: allow-next(tsa-escape) exercising the suppression syntax
+int FixtureCleanEscape() KVEC_NO_THREAD_SAFETY_ANALYSIS;

@@ -90,7 +90,7 @@ TEST(LintTest, ViolationFixturesFlagEveryRule) {
       "[fault-point-doc]",  "[naked-new]",   "[banned-call]",
       "[pragma-once]",      "[iostream-outside-cli]",
       "[raw-syscall]",      "[test-wiring]", "[include-path]",
-      "[pool-discipline]",  "[section-id]",
+      "[pool-discipline]",  "[section-id]",  "[tsa-escape]",
       // Not a configurable rule but a linter invariant: suppressions must
       // name a real rule and carry a reason.
       "[bad-allow]",
@@ -110,6 +110,9 @@ TEST(LintTest, ViolationFixturesPinpointTheRightLines) {
             std::string::npos)
       << run.output;
   EXPECT_NE(run.output.find("stray_helper.cc:1: [test-wiring]"),
+            std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find("tsa_escape.cc:11: [tsa-escape]"),
             std::string::npos)
       << run.output;
 }

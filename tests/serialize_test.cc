@@ -1,5 +1,10 @@
 #include "util/serialize.h"
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -206,6 +211,42 @@ TEST(AtomicWriteFileTest, WritesAndReplaces) {
   std::string read((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   EXPECT_EQ(read, std::string("\x00second\xff", 9));
+  std::remove(path.c_str());
+}
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(AtomicWriteFileTest, FailedWriteLeavesOldFileAndNoTemporary) {
+  // A file-size limit cuts the write short: at 1000 bytes only the final
+  // buffer flush fails, at 100000 the first write does. Either way the
+  // call must report failure, keep the previous file byte for byte, and
+  // leave no ".tmp" behind. The limit is lowered in a forked child, so
+  // only that child is constrained.
+  const std::string path = ::testing::TempDir() + "/atomic_write_fsize.bin";
+  const std::string good(50, 'g');
+  for (const size_t payload : {size_t{1000}, size_t{100000}}) {
+    SCOPED_TRACE("payload " + std::to_string(payload));
+    ASSERT_TRUE(AtomicWriteFile(path, good));
+    const pid_t child = fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      std::signal(SIGXFSZ, SIG_IGN);
+      const rlimit limit{100, 100};
+      if (setrlimit(RLIMIT_FSIZE, &limit) != 0) _exit(2);
+      _exit(AtomicWriteFile(path, std::string(payload, 'x')) ? 1 : 0);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0) << "the cut-short write reported success";
+    EXPECT_EQ(ReadAll(path), good);
+    EXPECT_NE(access((path + ".tmp").c_str(), F_OK), 0) << ".tmp leaked";
+    std::remove((path + ".tmp").c_str());
+  }
   std::remove(path.c_str());
 }
 
