@@ -5,12 +5,14 @@
 // this example shows the scale-up: ShardedStreamServer partitions the key
 // space across N independent StreamServer shards (hash routing, a mutex
 // and a full engine per shard) and ingests batches via ObserveBatch, which
-// hands each shard a contiguous microbatch in parallel. Per-shard engines
-// track only their own keys (bounded memory per shard), and the per-shard
-// mutexes let concurrent callers proceed in parallel on multi-core
-// hardware. On a single core expect the ratio near (or below) 1x: since
-// the correlation tracker's inverted index removed the per-item session
-// scan, sharding buys wall-clock parallelism and isolation, not
+// hands each shard its contiguous microbatch as one task. With the default
+// inline executor used here the shards run one after another on the
+// caller's thread; per-shard engines track only their own keys (bounded
+// memory per shard), and the per-shard mutexes let concurrent callers
+// serve different shards at once. Expect the ratio near (or below) 1x:
+// since the correlation tracker's inverted index removed the per-item
+// session scan, sharding buys isolation and, with shard-owned workers
+// (`worker_threads = num_shards`), wall-clock parallelism, not
 // single-thread speed (see docs/SERVING.md).
 //
 // The demo trains a small model, replays the test episodes through a

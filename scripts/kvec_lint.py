@@ -48,6 +48,11 @@ Enforces the rules no off-the-shelf tool knows about this codebase
                           cannot express the lock discipline; the tree has
                           none, and clang (which enforces the annotations)
                           only runs in CI.
+* ``binary-file-io``    — no ``std::ios::binary`` stream under ``src/``
+                          outside ``src/util/serialize.*``: every binary
+                          file is read with ``ReadFile`` and written with
+                          ``AtomicWriteFile``, so no write can truncate the
+                          previous file in place.
 
 Suppressions (a reason is mandatory):
 
@@ -84,6 +89,7 @@ RULES = (
     "pool-discipline",
     "section-id",
     "tsa-escape",
+    "binary-file-io",
 )
 
 ALLOW = re.compile(r"//\s*kvec-lint:\s*allow(-next)?\(([a-z-]+)\)\s*(\S.*)?$")
@@ -126,6 +132,7 @@ SECTION_ID_LITERAL = re.compile(
     r"sections\.(?:push_back|emplace_back)\(\s*\{|"
     r"\bFind\(\s*)[-+]?\d")
 TSA_ESCAPE = re.compile(r"\bKVEC_NO_THREAD_SAFETY_ANALYSIS\b")
+BINARY_STREAM = re.compile(r"\bstd::ios(?:_base)?::binary\b")
 
 
 def path_components(path):
@@ -310,6 +317,13 @@ def lint_file(file, repo_root, fault_doc, errors):
                    "lock checking for a whole function; guard the state "
                    "with a kvec::Mutex the analysis can see, or suppress "
                    "with a reason")
+
+        if in_src and not in_serialize and BINARY_STREAM.search(line):
+            report(lineno, "binary-file-io",
+                   "binary file stream outside src/util/serialize.*; read "
+                   "with ReadFile and write with AtomicWriteFile (an "
+                   "ofstream truncates the old file before the new bytes "
+                   "are safely on disk)")
 
         if in_src and not in_cli and IOSTREAM.search(line):
             report(lineno, "iostream-outside-cli",

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "data/io.h"
 
@@ -88,15 +86,6 @@ bool ParseDoubleField(const std::string& text, double* out) {
   }
 }
 
-bool ReadFileToString(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
-
 // Caps on the spec-driven sizes a config/spec may request: every one of
 // these sizes an embedding table (× embed_dim floats), so a corrupt or
 // hand-authored artifact must not be able to demand absurd allocations.
@@ -166,21 +155,6 @@ bool EpisodesMatchSpec(const std::vector<TangledSequence>& episodes,
 }
 
 }  // namespace
-
-bool WriteTextFile(const std::string& path, const std::string& content,
-                   std::string* error) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open '" + path + "' for writing";
-    return false;
-  }
-  out << content;
-  if (!out) {
-    if (error != nullptr) *error = "write to '" + path + "' failed";
-    return false;
-  }
-  return true;
-}
 
 void WriteKvecConfig(const KvecConfig& config, BinaryWriter* writer) {
   writer->WriteInt32(kConfigVersion);
@@ -387,9 +361,7 @@ bool SaveDatasetDir(const std::string& dir, const Dataset& dataset,
     return false;
   }
   const int fields = dataset.spec.num_value_fields();
-  std::string write_error;
-  if (!WriteTextFile(dir + "/spec.csv", SpecToTable(dataset.spec).ToCsv(),
-                     &write_error) ||
+  if (!AtomicWriteFile(dir + "/spec.csv", SpecToTable(dataset.spec).ToCsv()) ||
       !SaveTangledSequences(dataset.train, fields, dir + "/train.csv") ||
       !SaveTangledSequences(dataset.validation, fields,
                             dir + "/validation.csv") ||
@@ -407,7 +379,7 @@ bool LoadDatasetDir(const std::string& dir, Dataset* dataset,
     return false;
   };
   std::string spec_csv;
-  if (!ReadFileToString(dir + "/spec.csv", &spec_csv)) {
+  if (!ReadFile(dir + "/spec.csv", &spec_csv)) {
     return fail("cannot read '" + dir + "/spec.csv'");
   }
   Table spec_table({"key", "value", "aux"});

@@ -49,11 +49,6 @@ std::unique_ptr<KvecModel> LoadModelBundle(const std::string& path,
 void WriteKvecConfig(const KvecConfig& config, BinaryWriter* writer);
 bool ReadKvecConfig(BinaryReader* reader, KvecConfig* config);
 
-// Whole-file text write shared by the CLI layer; false (with a one-line
-// reason in `error`) on I/O failure.
-bool WriteTextFile(const std::string& path, const std::string& content,
-                   std::string* error);
-
 // ---- Dataset directories -------------------------------------------------
 
 // DatasetSpec as a key/value(/aux) table — the spec.csv payload.

@@ -709,12 +709,9 @@ int RunSweep(const std::vector<std::string>& args, std::ostream& out,
     rendered = table.ToText();
   }
   out << rendered;
-  if (!out_path->empty()) {
-    std::string error;
-    if (!WriteTextFile(*out_path, *csv || *json ? rendered : table.ToCsv(),
-                       &error)) {
-      return RuntimeError(error, err);
-    }
+  if (!out_path->empty() &&
+      !AtomicWriteFile(*out_path, *csv || *json ? rendered : table.ToCsv())) {
+    return RuntimeError("cannot write '" + *out_path + "'", err);
   }
   return kExitOk;
 }
@@ -789,6 +786,34 @@ struct EventRecorder {
   }
 };
 
+// The "overload" and "memory" groups every serve report carries, replay
+// and --listen alike.
+void EmitOverloadMemoryJson(const StreamServerStats& stats,
+                            JsonWriter* writer) {
+  writer->Key("overload").BeginObject();
+  writer->Key("items_submitted").Int(stats.items_submitted);
+  writer->Key("batches_shed").Int(stats.batches_shed);
+  writer->Key("items_shed").Int(stats.items_shed);
+  writer->EndObject();
+  writer->Key("memory").BeginObject();
+  writer->Key("bytes_resident").Int(stats.bytes_resident);
+  writer->Key("pool_blocks").Int(stats.pool_blocks);
+  writer->Key("scratch_high_water").Int(stats.scratch_high_water);
+  writer->Key("compactions").Int(stats.compactions);
+  writer->EndObject();
+}
+
+void AddOverloadMemoryRows(const StreamServerStats& stats, Table* table) {
+  table->AddRow({"items submitted", std::to_string(stats.items_submitted)});
+  table->AddRow({"batches shed", std::to_string(stats.batches_shed)});
+  table->AddRow({"items shed", std::to_string(stats.items_shed)});
+  table->AddRow({"bytes resident", std::to_string(stats.bytes_resident)});
+  table->AddRow({"pool blocks", std::to_string(stats.pool_blocks)});
+  table->AddRow(
+      {"scratch high water", std::to_string(stats.scratch_high_water)});
+  table->AddRow({"compactions", std::to_string(stats.compactions)});
+}
+
 void EmitServeJson(const ServeOutcome& outcome, int shards, int workers,
                    int batch, JsonWriter* writer) {
   writer->Key("items").Int(outcome.items);
@@ -804,17 +829,7 @@ void EmitServeJson(const ServeOutcome& outcome, int shards, int workers,
                   : 0.0);
   writer->Key("open_keys_after").Int(outcome.open_keys_after);
   writer->Key("interrupted").Bool(outcome.interrupted);
-  writer->Key("overload").BeginObject();
-  writer->Key("items_submitted").Int(outcome.stats.items_submitted);
-  writer->Key("batches_shed").Int(outcome.stats.batches_shed);
-  writer->Key("items_shed").Int(outcome.stats.items_shed);
-  writer->EndObject();
-  writer->Key("memory").BeginObject();
-  writer->Key("bytes_resident").Int(outcome.stats.bytes_resident);
-  writer->Key("pool_blocks").Int(outcome.stats.pool_blocks);
-  writer->Key("scratch_high_water").Int(outcome.stats.scratch_high_water);
-  writer->Key("compactions").Int(outcome.stats.compactions);
-  writer->EndObject();
+  EmitOverloadMemoryJson(outcome.stats, writer);
   writer->Key("events").BeginObject();
   writer->Key("sequences_classified").Int(outcome.stats.sequences_classified);
   writer->Key("policy_halts").Int(outcome.stats.policy_halts);
@@ -856,16 +871,7 @@ Table ServeTable(const ServeOutcome& outcome) {
   table.AddRow(
       {"windows started", std::to_string(outcome.stats.windows_started)});
   table.AddRow({"open keys after", std::to_string(outcome.open_keys_after)});
-  table.AddRow(
-      {"items submitted", std::to_string(outcome.stats.items_submitted)});
-  table.AddRow({"batches shed", std::to_string(outcome.stats.batches_shed)});
-  table.AddRow({"items shed", std::to_string(outcome.stats.items_shed)});
-  table.AddRow(
-      {"bytes resident", std::to_string(outcome.stats.bytes_resident)});
-  table.AddRow({"pool blocks", std::to_string(outcome.stats.pool_blocks)});
-  table.AddRow({"scratch high water",
-                std::to_string(outcome.stats.scratch_high_water)});
-  table.AddRow({"compactions", std::to_string(outcome.stats.compactions)});
+  AddOverloadMemoryRows(outcome.stats, &table);
   return table;
 }
 
@@ -1047,17 +1053,7 @@ int RunListenServe(const KvecModel& model,
                                       processed_before);
     writer.Key("flush_events").Int(flush_events);
     writer.Key("interrupted").Bool(true);
-    writer.Key("overload").BeginObject();
-    writer.Key("items_submitted").Int(stats.items_submitted);
-    writer.Key("batches_shed").Int(stats.batches_shed);
-    writer.Key("items_shed").Int(stats.items_shed);
-    writer.EndObject();
-    writer.Key("memory").BeginObject();
-    writer.Key("bytes_resident").Int(stats.bytes_resident);
-    writer.Key("pool_blocks").Int(stats.pool_blocks);
-    writer.Key("scratch_high_water").Int(stats.scratch_high_water);
-    writer.Key("compactions").Int(stats.compactions);
-    writer.EndObject();
+    EmitOverloadMemoryJson(stats, &writer);
     writer.Key("net").BeginObject();
     writer.Key("connections_accepted").Int(net_stats.connections_accepted);
     writer.Key("connections_rejected").Int(net_stats.connections_rejected);
@@ -1084,10 +1080,7 @@ int RunListenServe(const KvecModel& model,
                   std::to_string(stats.items_processed - processed_before)});
     table.AddRow({"sequences classified",
                   std::to_string(stats.sequences_classified)});
-    table.AddRow({"items submitted", std::to_string(stats.items_submitted)});
-    table.AddRow({"items shed", std::to_string(stats.items_shed)});
-    table.AddRow({"bytes resident", std::to_string(stats.bytes_resident)});
-    table.AddRow({"compactions", std::to_string(stats.compactions)});
+    AddOverloadMemoryRows(stats, &table);
     table.AddRow({"flush events", std::to_string(flush_events)});
     table.AddRow({"connections accepted",
                   std::to_string(net_stats.connections_accepted)});

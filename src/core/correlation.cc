@@ -94,22 +94,67 @@ std::vector<int> CorrelationTracker::ObserveItem(const Item& item) {
   // Reposition the session in the inverted index: drop the stale
   // (last_index -> key) entry — from the old value's bucket if the session
   // value changed — and re-insert under the new recency.
-  if (session.last_index >= 0) {
-    auto old_bucket = state_->by_value.find(session.session_value);
-    if (old_bucket != state_->by_value.end()) {
-      old_bucket->second.erase(session.last_index);
-      if (old_bucket->second.empty()) state_->by_value.erase(old_bucket);
-    }
-  }
+  Unindex(state_.get(), session);
   if (session_rotates) {
     session.session_value = session_value;
     session.item_indices.clear();
   }
   session.item_indices.push_back(index);
   session.last_index = index;
-  state_->by_value[session_value].emplace(index, item.key);
+  Index(state_.get(), item.key, session);
 
   return visible;
+}
+
+namespace {
+
+// Reads one list of stream positions; each must be one the tracker had
+// assigned before `next_index`.
+bool ReadIndices(BinaryReader* reader, int next_index, std::vector<int>* out) {
+  *out = reader->ReadIntVector();
+  if (!reader->ok()) return false;
+  for (int index : *out) {
+    if (index < 0 || index >= next_index) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+void CorrelationTracker::WriteSession(BinaryWriter* writer,
+                                      const OpenSession& session) {
+  writer->WriteInt32(session.session_value);
+  writer->WriteInt32(session.last_index);
+  writer->WriteInts(session.item_indices.data(), session.item_indices.size());
+}
+
+bool CorrelationTracker::ReadSession(BinaryReader* reader, int next_index,
+                                     OpenSession* session) {
+  session->session_value = reader->ReadInt32();
+  session->last_index = reader->ReadInt32();
+  std::vector<int> indices;
+  if (!ReadIndices(reader, next_index, &indices) ||
+      session->last_index < -1 || session->last_index >= next_index) {
+    return false;
+  }
+  session->item_indices.assign(indices.begin(), indices.end());
+  return true;
+}
+
+void CorrelationTracker::Unindex(State* state, const OpenSession& session) {
+  if (session.last_index < 0) return;
+  auto bucket = state->by_value.find(session.session_value);
+  if (bucket == state->by_value.end()) return;
+  bucket->second.erase(session.last_index);
+  if (bucket->second.empty()) state->by_value.erase(bucket);
+}
+
+bool CorrelationTracker::Index(State* state, int key,
+                               const OpenSession& session) {
+  return session.last_index < 0 ||
+         state->by_value[session.session_value]
+             .emplace(session.last_index, key)
+             .second;
 }
 
 void CorrelationTracker::Snapshot(BinaryWriter* writer) const {
@@ -141,12 +186,8 @@ void CorrelationTracker::Snapshot(BinaryWriter* writer) const {
   std::sort(keys.begin(), keys.end());
   writer->WriteInt32(static_cast<int32_t>(keys.size()));
   for (int key : keys) {
-    const OpenSession& session = state_->open_sessions.at(key);
     writer->WriteInt32(key);
-    writer->WriteInt32(session.session_value);
-    writer->WriteInt32(session.last_index);
-    writer->WriteInts(session.item_indices.data(),
-                      session.item_indices.size());
+    WriteSession(writer, state_->open_sessions.at(key));
   }
 }
 
@@ -178,12 +219,10 @@ bool CorrelationTracker::Restore(BinaryReader* reader) {
   const int32_t num_keys = reader->ReadInt32();
   if (!reader->ok() || !plausible_count(num_keys)) return false;
   staged->key_items.reserve(num_keys);
-  for (int32_t i = 0; i < num_keys && reader->ok(); ++i) {
+  for (int32_t i = 0; i < num_keys; ++i) {
     const int key = reader->ReadInt32();
-    std::vector<int> items = reader->ReadIntVector();
-    for (int index : items) {
-      if (index < 0 || index >= next_index) return false;
-    }
+    std::vector<int> items;
+    if (!ReadIndices(reader, next_index, &items)) return false;
     auto [slot, inserted] = staged->key_items.try_emplace(key);
     if (!inserted) return false;
     slot->second.assign(items.begin(), items.end());
@@ -192,30 +231,14 @@ bool CorrelationTracker::Restore(BinaryReader* reader) {
   const int32_t num_sessions = reader->ReadInt32();
   if (!reader->ok() || !plausible_count(num_sessions)) return false;
   staged->open_sessions.reserve(num_sessions);
-  for (int32_t i = 0; i < num_sessions && reader->ok(); ++i) {
+  for (int32_t i = 0; i < num_sessions; ++i) {
     const int key = reader->ReadInt32();
-    const int session_value = reader->ReadInt32();
-    const int last_index = reader->ReadInt32();
-    std::vector<int> item_indices = reader->ReadIntVector();
-    if (!reader->ok()) return false;
-    if (last_index < -1 || last_index >= next_index) return false;
-    for (int index : item_indices) {
-      if (index < 0 || index >= next_index) return false;
-    }
-    // Rebuild the inverted index: one recency entry per indexed session.
-    if (last_index >= 0) {
-      if (!staged->by_value[session_value].emplace(last_index, key).second) {
-        return false;  // two sessions cannot share a stream position
-      }
-    }
+    OpenSession session;
+    if (!ReadSession(reader, next_index, &session)) return false;
     auto [slot, inserted] = staged->open_sessions.try_emplace(key);
-    if (!inserted) return false;
-    slot->second.session_value = session_value;
-    slot->second.last_index = last_index;
-    slot->second.item_indices.assign(item_indices.begin(),
-                                     item_indices.end());
+    if (!inserted || !Index(staged.get(), key, session)) return false;
+    slot->second = session;
   }
-  if (!reader->ok()) return false;
 
   next_index_ = next_index;
   state_ = std::move(staged);
@@ -246,11 +269,7 @@ void CorrelationTracker::SnapshotDelta(
     auto session_it = state_->open_sessions.find(key);
     writer->WriteInt32(session_it != state_->open_sessions.end() ? 1 : 0);
     if (session_it != state_->open_sessions.end()) {
-      const OpenSession& session = session_it->second;
-      writer->WriteInt32(session.session_value);
-      writer->WriteInt32(session.last_index);
-      writer->WriteInts(session.item_indices.data(),
-                        session.item_indices.size());
+      WriteSession(writer, session_it->second);
     }
   }
 }
@@ -259,7 +278,7 @@ bool CorrelationTracker::ApplyDelta(BinaryReader* reader,
                                     int expected_next_index) {
   const int next_index = reader->ReadInt32();
   if (!reader->ok() || next_index < next_index_ ||
-      (expected_next_index >= 0 && next_index != expected_next_index)) {
+      next_index != expected_next_index) {
     return false;
   }
   const int32_t num_keys = reader->ReadInt32();
@@ -268,52 +287,25 @@ bool CorrelationTracker::ApplyDelta(BinaryReader* reader,
     return false;
   }
   int prev_key = -1;
-  bool first = true;
-  for (int32_t i = 0; i < num_keys && reader->ok(); ++i) {
+  for (int32_t i = 0; i < num_keys; ++i) {
     const int key = reader->ReadInt32();
-    if (!reader->ok() || (!first && key <= prev_key)) return false;
-    first = false;
+    if (!reader->ok() || (i > 0 && key <= prev_key)) return false;
     prev_key = key;
 
-    const bool has_items = reader->ReadInt32() != 0;
-    if (has_items) {
-      std::vector<int> items = reader->ReadIntVector();
-      if (!reader->ok()) return false;
-      for (int index : items) {
-        if (index < 0 || index >= next_index) return false;
-      }
-      auto& slot = state_->key_items[key];
-      slot.assign(items.begin(), items.end());
+    if (reader->ReadInt32() != 0) {  // item-index list present
+      std::vector<int> items;
+      if (!ReadIndices(reader, next_index, &items)) return false;
+      state_->key_items[key].assign(items.begin(), items.end());
     }
-
-    const bool has_session = reader->ReadInt32() != 0;
-    if (has_session) {
-      const int session_value = reader->ReadInt32();
-      const int last_index = reader->ReadInt32();
-      std::vector<int> item_indices = reader->ReadIntVector();
-      if (!reader->ok()) return false;
-      if (last_index < -1 || last_index >= next_index) return false;
-      for (int index : item_indices) {
-        if (index < 0 || index >= next_index) return false;
-      }
+    if (reader->ReadInt32() != 0) {  // open session present
+      OpenSession session;
+      if (!ReadSession(reader, next_index, &session)) return false;
       // Reposition in the inverted index: drop the key's old recency entry
       // (if the base had one), then insert the new one.
-      OpenSession& session = state_->open_sessions[key];
-      if (session.last_index >= 0) {
-        auto old_bucket = state_->by_value.find(session.session_value);
-        if (old_bucket != state_->by_value.end()) {
-          old_bucket->second.erase(session.last_index);
-          if (old_bucket->second.empty()) state_->by_value.erase(old_bucket);
-        }
-      }
-      session.session_value = session_value;
-      session.last_index = last_index;
-      session.item_indices.assign(item_indices.begin(), item_indices.end());
-      if (last_index >= 0) {
-        if (!state_->by_value[session_value].emplace(last_index, key).second) {
-          return false;  // two sessions cannot share a stream position
-        }
-      }
+      OpenSession& slot = state_->open_sessions[key];
+      Unindex(state_.get(), slot);
+      slot = session;
+      if (!Index(state_.get(), key, slot)) return false;
     }
   }
   if (!reader->ok()) return false;

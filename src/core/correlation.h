@@ -84,14 +84,15 @@ class CorrelationTracker {
   // session, each behind a presence flag. ApplyDelta upserts those keys
   // into a tracker already holding the base state — replacing their lists
   // and repositioning their sessions in the inverted index — and adopts
-  // the delta's stream clock. `expected_next_index`, when non-negative,
-  // must match the delta's clock (the caller cross-checks against the
-  // engine's item count). ApplyDelta fails closed on corrupt bytes but may
+  // the delta's stream clock, which must equal `expected_next_index` (the
+  // caller cross-checks against the engine's item count). Both paths share
+  // one session record writer and reader, so the two formats cannot drift.
+  // ApplyDelta fails closed on corrupt bytes but may
   // leave *this partially updated — callers stage into a scratch tracker
   // (the chain loader's staged-servers pattern) and discard on failure.
   void SnapshotDelta(BinaryWriter* writer,
                      const std::vector<int>& dirty_sorted) const;
-  bool ApplyDelta(BinaryReader* reader, int expected_next_index = -1);
+  bool ApplyDelta(BinaryReader* reader, int expected_next_index);
 
   // Rebuilds every container into `memory` and adopts it for all future
   // allocations. Observable state is unchanged (the canonical key-sorted
@@ -141,6 +142,18 @@ class CorrelationTracker {
     // session.
     std::pmr::unordered_map<int, std::pmr::map<int, int>> by_value;
   };
+
+  // One open-session record: value, last index, member indices. The reader
+  // requires every index to be one the tracker had assigned before
+  // `next_index`.
+  static void WriteSession(BinaryWriter* writer, const OpenSession& session);
+  static bool ReadSession(BinaryReader* reader, int next_index,
+                          OpenSession* session);
+  // Drops / adds the inverted-index entry of `key`'s `session` (none while
+  // its last_index is -1). Index fails if another session already holds
+  // that stream position.
+  static void Unindex(State* state, const OpenSession& session);
+  static bool Index(State* state, int key, const OpenSession& session);
 
   // Collects the cross-key value matches for an item with `session_value`
   // arriving at stream position `index`, appending to `visible`.

@@ -209,122 +209,64 @@ void IncrementalEncoder::AttendRow(int block,
   }
 }
 
-void IncrementalEncoder::Snapshot(BinaryWriter* writer) const {
-  const int num_blocks = static_cast<int>(encoder_.blocks().size());
+void IncrementalEncoder::WritePanels(BinaryWriter* writer, int begin,
+                                     bool tail) const {
+  KVEC_DCHECK(begin >= 0 && begin <= num_items_ && (tail || begin == 0));
   writer->WriteInt32(dim_);
   writer->WriteInt32(head_dim_);
   writer->WriteInt32(num_heads_);
-  writer->WriteInt32(num_blocks);
+  writer->WriteInt32(static_cast<int>(encoder_.blocks().size()));
+  if (tail) writer->WriteInt32(begin);
   writer->WriteInt32(num_items_);
-  const size_t live = static_cast<size_t>(num_items_) * head_dim_;
+  const size_t skip = static_cast<size_t>(begin) * head_dim_;
+  const size_t rows = static_cast<size_t>(num_items_ - begin) * head_dim_;
   const size_t block_stride = 2 * static_cast<size_t>(capacity_) * dim_;
-  for (int b = 0; b < num_blocks; ++b) {
+  for (size_t b = 0; b < encoder_.blocks().size(); ++b) {
     for (int h = 0; h < num_heads_; ++h) {
       const float* keys = arena_.data() + b * block_stride +
                           static_cast<size_t>(h) * capacity_ * head_dim_;
       const float* values = keys + static_cast<size_t>(capacity_) * dim_;
-      writer->WriteFloats(keys, live);
-      writer->WriteFloats(values, live);
+      writer->WriteFloats(keys + skip, rows);
+      writer->WriteFloats(values + skip, rows);
     }
   }
 }
 
-bool IncrementalEncoder::Restore(BinaryReader* reader, int expected_items) {
+bool IncrementalEncoder::ReadPanels(BinaryReader* reader, bool tail,
+                                    int expected_items) {
   const int num_blocks = static_cast<int>(encoder_.blocks().size());
   const int dim = reader->ReadInt32();
   const int head_dim = reader->ReadInt32();
   const int num_heads = reader->ReadInt32();
   const int blocks = reader->ReadInt32();
+  const int begin = tail ? reader->ReadInt32() : 0;
   const int num_items = reader->ReadInt32();
   if (!reader->ok() || dim != dim_ || head_dim != head_dim_ ||
-      num_heads != num_heads_ || blocks != num_blocks || num_items < 0 ||
-      (expected_items >= 0 && num_items != expected_items)) {
+      num_heads != num_heads_ || blocks != num_blocks ||
+      (tail && begin != num_items_) || num_items < begin ||
+      num_items != expected_items) {
     return false;
   }
   // Stage all panels before touching the arena: a truncated stream must not
   // leave a half-restored cache behind.
-  const size_t live = static_cast<size_t>(num_items) * head_dim_;
+  const size_t rows = static_cast<size_t>(num_items - begin) * head_dim_;
   std::vector<std::vector<float>> panels;
   panels.reserve(static_cast<size_t>(num_blocks) * num_heads_ * 2);
   for (int i = 0; i < num_blocks * num_heads_ * 2; ++i) {
     panels.push_back(reader->ReadFloatVector());
-    if (!reader->ok() || panels.back().size() != live) return false;
+    if (!reader->ok() || panels.back().size() != rows) return false;
   }
 
   if (num_items > 0) EnsureCapacity(num_items);
-  num_items_ = num_items;
+  const size_t skip = static_cast<size_t>(begin) * head_dim_;
   size_t next = 0;
   for (int b = 0; b < num_blocks; ++b) {
     for (int h = 0; h < num_heads_; ++h) {
-      if (live > 0) {
-        std::memcpy(KeyPanel(b, h), panels[next].data(),
-                    live * sizeof(float));
-        std::memcpy(ValuePanel(b, h), panels[next + 1].data(),
-                    live * sizeof(float));
-      }
-      next += 2;
-    }
-  }
-  return true;
-}
-
-void IncrementalEncoder::SnapshotTail(BinaryWriter* writer,
-                                      int base_items) const {
-  KVEC_DCHECK(base_items >= 0 && base_items <= num_items_);
-  const int num_blocks = static_cast<int>(encoder_.blocks().size());
-  writer->WriteInt32(dim_);
-  writer->WriteInt32(head_dim_);
-  writer->WriteInt32(num_heads_);
-  writer->WriteInt32(num_blocks);
-  writer->WriteInt32(base_items);
-  writer->WriteInt32(num_items_);
-  const size_t skip = static_cast<size_t>(base_items) * head_dim_;
-  const size_t tail = static_cast<size_t>(num_items_ - base_items) * head_dim_;
-  const size_t block_stride = 2 * static_cast<size_t>(capacity_) * dim_;
-  for (int b = 0; b < num_blocks; ++b) {
-    for (int h = 0; h < num_heads_; ++h) {
-      const float* keys = arena_.data() + b * block_stride +
-                          static_cast<size_t>(h) * capacity_ * head_dim_;
-      const float* values = keys + static_cast<size_t>(capacity_) * dim_;
-      writer->WriteFloats(keys + skip, tail);
-      writer->WriteFloats(values + skip, tail);
-    }
-  }
-}
-
-bool IncrementalEncoder::RestoreTail(BinaryReader* reader,
-                                     int expected_items) {
-  const int num_blocks = static_cast<int>(encoder_.blocks().size());
-  const int dim = reader->ReadInt32();
-  const int head_dim = reader->ReadInt32();
-  const int num_heads = reader->ReadInt32();
-  const int blocks = reader->ReadInt32();
-  const int base_items = reader->ReadInt32();
-  const int num_items = reader->ReadInt32();
-  if (!reader->ok() || dim != dim_ || head_dim != head_dim_ ||
-      num_heads != num_heads_ || blocks != num_blocks ||
-      base_items != num_items_ || num_items < base_items ||
-      (expected_items >= 0 && num_items != expected_items)) {
-    return false;
-  }
-  const size_t tail = static_cast<size_t>(num_items - base_items) * head_dim_;
-  std::vector<std::vector<float>> panels;
-  panels.reserve(static_cast<size_t>(num_blocks) * num_heads_ * 2);
-  for (int i = 0; i < num_blocks * num_heads_ * 2; ++i) {
-    panels.push_back(reader->ReadFloatVector());
-    if (!reader->ok() || panels.back().size() != tail) return false;
-  }
-
-  if (num_items > 0) EnsureCapacity(num_items);
-  const size_t skip = static_cast<size_t>(base_items) * head_dim_;
-  size_t next = 0;
-  for (int b = 0; b < num_blocks; ++b) {
-    for (int h = 0; h < num_heads_; ++h) {
-      if (tail > 0) {
+      if (rows > 0) {
         std::memcpy(KeyPanel(b, h) + skip, panels[next].data(),
-                    tail * sizeof(float));
+                    rows * sizeof(float));
         std::memcpy(ValuePanel(b, h) + skip, panels[next + 1].data(),
-                    tail * sizeof(float));
+                    rows * sizeof(float));
       }
       next += 2;
     }

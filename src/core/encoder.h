@@ -98,31 +98,24 @@ class IncrementalEncoder {
 
   int num_items() const { return num_items_; }
 
-  // Serving-state checkpointing. Snapshot re-serialises the arena as one
-  // [num_items, head_dim] float vector per (block, head, K/V) panel — the
-  // SoA layout is an implementation detail the byte stream does not
-  // depend on. Restore validates the geometry against the frozen encoder,
-  // stages every panel, and only then touches the arena, so a failed
-  // restore (truncation, corruption, encoder mismatch) returns false with
-  // *this untouched.
-  // When `expected_items` is non-negative the stream's item count must
-  // match it (callers cross-check against their own clock so a checkpoint
-  // with internally inconsistent sections is rejected before commit).
-  void Snapshot(BinaryWriter* writer) const;
-  bool Restore(BinaryReader* reader, int expected_items = -1);
-
-  // Delta checkpointing (docs/SERVING.md "Incremental checkpoints"). The
-  // K/V cache is append-only within a window — row t is written once when
-  // item t arrives and never rewritten — so the rows in [base_items,
-  // num_items()) are exactly what changed since a snapshot taken at
-  // base_items. SnapshotTail serialises only that suffix (plus the
-  // geometry header, so corrupted deltas still fail closed on mismatch).
-  // RestoreTail requires the receiver to sit exactly at base_items and,
-  // when `expected_items` is non-negative, the restored count to match it;
-  // panels are staged before the arena is touched, same contract as
-  // Restore.
-  void SnapshotTail(BinaryWriter* writer, int base_items) const;
-  bool RestoreTail(BinaryReader* reader, int expected_items = -1);
+  // Serving-state checkpointing: one panel writer and one staged panel
+  // reader for full and delta checkpoints alike. WritePanels writes the
+  // geometry header, the item range, and rows [begin, num_items()) of each
+  // (block, head, K/V) panel as one float vector — the SoA layout is an
+  // implementation detail the byte stream does not depend on. A full
+  // checkpoint is the range from 0, whose start is implied; a delta
+  // (`tail`) records its start. The K/V cache is append-only within a
+  // window — row t is written once when item t arrives and never
+  // rewritten — so the rows from a snapshot's item count on are exactly
+  // what changed since it.
+  //
+  // ReadPanels validates the geometry against the frozen encoder, requires
+  // the item count to equal `expected_items` (callers cross-check their
+  // own clock) and a tail to start exactly at num_items(), stages every
+  // panel, and only then touches the arena, so a failed read (truncation,
+  // corruption, encoder mismatch) returns false with *this untouched.
+  void WritePanels(BinaryWriter* writer, int begin, bool tail) const;
+  bool ReadPanels(BinaryReader* reader, bool tail, int expected_items);
 
   // Repacks the K/V arena into the smallest geometric capacity that holds
   // the live items, returning the slack to BufferPool (shard compaction).

@@ -1,5 +1,7 @@
 #include "core/model.h"
 
+#include <utility>
+
 #include "util/serialize.h"
 
 namespace kvec {
@@ -45,8 +47,9 @@ bool KvecModel::SaveToFile(const std::string& path) {
 }
 
 bool KvecModel::LoadFromFile(const std::string& path) {
-  BinaryReader reader = BinaryReader::FromFile(path);
-  if (!reader.ok()) return false;
+  std::string bytes;
+  if (!ReadFile(path, &bytes)) return false;
+  BinaryReader reader(std::move(bytes));
   if (reader.ReadString() != "kvec-model-v1") return false;
   return LoadParameters(&reader);
 }

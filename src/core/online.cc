@@ -167,53 +167,71 @@ bool ReadStateTensor(BinaryReader* reader, int expected_cols, Tensor* out) {
 
 }  // namespace
 
-void OnlineClassifier::WriteKeyState(BinaryWriter* writer, int key,
-                                     const KeyState& state) const {
-  writer->WriteInt32(key);
-  writer->WriteInt32(state.halted ? 1 : 0);
-  writer->WriteInt32(state.observed);
-  writer->WriteInt32(state.position_in_key);
-  writer->WriteInt32(state.predicted);
-  writer->WriteInt32(state.state.count);
-  writer->WriteInt32(state.state.hidden.defined() ? 1 : 0);
-  if (state.state.hidden.defined()) {
-    WriteStateTensor(writer, state.state.hidden);
-  }
-  writer->WriteInt32(state.state.cell.defined() ? 1 : 0);
-  if (state.state.cell.defined()) {
-    WriteStateTensor(writer, state.state.cell);
+void OnlineClassifier::WriteKeyStates(BinaryWriter* writer,
+                                      const std::vector<int>& keys) const {
+  writer->WriteInt32(static_cast<int32_t>(keys.size()));
+  for (int key : keys) {
+    const KeyState& state = keys_->at(key);
+    writer->WriteInt32(key);
+    writer->WriteInt32(state.halted ? 1 : 0);
+    writer->WriteInt32(state.observed);
+    writer->WriteInt32(state.position_in_key);
+    writer->WriteInt32(state.predicted);
+    writer->WriteInt32(state.state.count);
+    writer->WriteInt32(state.state.hidden.defined() ? 1 : 0);
+    if (state.state.hidden.defined()) {
+      WriteStateTensor(writer, state.state.hidden);
+    }
+    writer->WriteInt32(state.state.cell.defined() ? 1 : 0);
+    if (state.state.cell.defined()) {
+      WriteStateTensor(writer, state.state.cell);
+    }
   }
 }
 
-bool OnlineClassifier::ReadKeyState(BinaryReader* reader, int* key,
-                                    KeyState* state) const {
+bool OnlineClassifier::ReadKeyStates(
+    BinaryReader* reader, std::vector<std::pair<int, KeyState>>* states) const {
   const KvecConfig& config = model_.config();
   const int hidden_dim = model_.fusion().output_dim();
   const int cell_dim = config.fusion == KvecConfig::FusionKind::kLstm
                            ? config.state_dim
                            : config.embed_dim;
-  *key = reader->ReadInt32();
-  state->halted = reader->ReadInt32() != 0;
-  state->observed = reader->ReadInt32();
-  state->position_in_key = reader->ReadInt32();
-  state->predicted = reader->ReadInt32();
-  state->state.count = reader->ReadInt32();
-  if (!reader->ok() || state->observed < 0 ||
-      state->position_in_key < state->observed || state->state.count < 0 ||
-      state->predicted < -1 || state->predicted >= config.spec.num_classes) {
+  const int32_t count = reader->ReadInt32();
+  if (!reader->ok() || count < 0 ||
+      static_cast<size_t>(count) > reader->remaining() / 8) {
     return false;
   }
-  if (reader->ReadInt32() != 0) {
-    if (!ReadStateTensor(reader, hidden_dim, &state->state.hidden)) {
+  states->reserve(count);
+  for (int32_t i = 0; i < count; ++i) {
+    const int key = reader->ReadInt32();
+    KeyState state;
+    state.halted = reader->ReadInt32() != 0;
+    state.observed = reader->ReadInt32();
+    state.position_in_key = reader->ReadInt32();
+    state.predicted = reader->ReadInt32();
+    state.state.count = reader->ReadInt32();
+    if (!reader->ok() || (i > 0 && key <= states->back().first) ||
+        state.observed < 0 || state.position_in_key < state.observed ||
+        state.state.count < 0 || state.predicted < -1 ||
+        state.predicted >= config.spec.num_classes) {
       return false;
     }
+    if (reader->ReadInt32() != 0 &&
+        !ReadStateTensor(reader, hidden_dim, &state.state.hidden)) {
+      return false;
+    }
+    if (reader->ReadInt32() != 0 &&
+        !ReadStateTensor(reader, cell_dim, &state.state.cell)) {
+      return false;
+    }
+    // ForceClassify and Step both dereference the hidden state of any key
+    // with observed items; a checkpoint without one is corrupt.
+    if (!reader->ok() ||
+        (state.observed > 0 && !state.state.hidden.defined())) {
+      return false;
+    }
+    states->emplace_back(key, std::move(state));
   }
-  if (reader->ReadInt32() != 0) {
-    if (!ReadStateTensor(reader, cell_dim, &state->state.cell)) return false;
-  }
-  // ForceClassify and Step both dereference the hidden state of any key
-  // with observed items; a checkpoint without one is corrupt.
-  if (state->observed > 0 && !state->state.hidden.defined()) return false;
   return true;
 }
 
@@ -225,47 +243,35 @@ void OnlineClassifier::Snapshot(BinaryWriter* writer) const {
   sorted_keys.reserve(keys_->size());
   for (const auto& [key, state] : *keys_) sorted_keys.push_back(key);
   std::sort(sorted_keys.begin(), sorted_keys.end());
-  writer->WriteInt32(static_cast<int32_t>(sorted_keys.size()));
-  for (int key : sorted_keys) {
-    WriteKeyState(writer, key, keys_->at(key));
-  }
+  WriteKeyStates(writer, sorted_keys);
 
   // The encoder arena goes last so Restore can stage everything else in
   // temporaries and only mutate members once all sections parsed.
-  incremental_.Snapshot(writer);
+  incremental_.WritePanels(writer, /*begin=*/0, /*tail=*/false);
 }
 
 bool OnlineClassifier::Restore(BinaryReader* reader) {
-  const KvecConfig& config = model_.config();
-
   const int num_items = reader->ReadInt32();
   if (!reader->ok() || num_items < 0) return false;
 
-  CorrelationTracker tracker(config.correlation, memory_);
+  CorrelationTracker tracker(model_.config().correlation, memory_);
   if (!tracker.Restore(reader)) return false;
   if (tracker.num_observed() != num_items) return false;
 
+  std::vector<std::pair<int, KeyState>> states;
+  if (!ReadKeyStates(reader, &states)) return false;
   // Staged into the engine's own resource; committed by a pointer swap.
   auto keys = std::make_unique<KeyStateMap>(memory_);
-  const int32_t num_keys = reader->ReadInt32();
-  if (!reader->ok() || num_keys < 0 ||
-      static_cast<size_t>(num_keys) > reader->remaining() / 8) {
-    return false;
-  }
-  keys->reserve(num_keys);
-  for (int32_t i = 0; i < num_keys && reader->ok(); ++i) {
-    int key = 0;
-    KeyState state;
-    if (!ReadKeyState(reader, &key, &state)) return false;
-    if (!keys->emplace(key, std::move(state)).second) return false;
-  }
-  if (!reader->ok()) return false;
+  keys->reserve(states.size());
+  for (auto& [key, state] : states) keys->emplace(key, std::move(state));
 
   // The encoder is the only member mutated before the commit point below,
-  // and its Restore is itself all-or-nothing (with the item count
+  // and its reader is itself all-or-nothing (with the item count
   // cross-checked against this section's clock), so a failure anywhere
   // leaves *this untouched.
-  if (!incremental_.Restore(reader, num_items)) return false;
+  if (!incremental_.ReadPanels(reader, /*tail=*/false, num_items)) {
+    return false;
+  }
 
   num_items_ = num_items;
   tracker_ = std::move(tracker);
@@ -288,12 +294,9 @@ void OnlineClassifier::SnapshotDelta(BinaryWriter* writer,
   for (int key : dirty_sorted) {
     if (keys_->count(key)) present.push_back(key);
   }
-  writer->WriteInt32(static_cast<int32_t>(present.size()));
-  for (int key : present) {
-    WriteKeyState(writer, key, keys_->at(key));
-  }
+  WriteKeyStates(writer, present);
 
-  incremental_.SnapshotTail(writer, base_items);
+  incremental_.WritePanels(writer, base_items, /*tail=*/true);
 }
 
 bool OnlineClassifier::ApplyDelta(BinaryReader* reader) {
@@ -305,25 +308,13 @@ bool OnlineClassifier::ApplyDelta(BinaryReader* reader) {
   }
   if (!tracker_.ApplyDelta(reader, num_items)) return false;
 
-  const int32_t num_keys = reader->ReadInt32();
-  if (!reader->ok() || num_keys < 0 ||
-      static_cast<size_t>(num_keys) > reader->remaining() / 8) {
+  std::vector<std::pair<int, KeyState>> states;
+  if (!ReadKeyStates(reader, &states)) return false;
+  for (auto& [key, state] : states) (*keys_)[key] = std::move(state);
+
+  if (!incremental_.ReadPanels(reader, /*tail=*/true, num_items)) {
     return false;
   }
-  int prev_key = -1;
-  bool first = true;
-  for (int32_t i = 0; i < num_keys && reader->ok(); ++i) {
-    int key = 0;
-    KeyState state;
-    if (!ReadKeyState(reader, &key, &state)) return false;
-    if (!first && key <= prev_key) return false;  // canonical ascending
-    first = false;
-    prev_key = key;
-    (*keys_)[key] = std::move(state);
-  }
-  if (!reader->ok()) return false;
-
-  if (!incremental_.RestoreTail(reader, num_items)) return false;
   num_items_ = num_items;
   return true;
 }

@@ -35,6 +35,7 @@
 #include <memory>
 #include <memory_resource>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/correlation.h"
@@ -150,11 +151,13 @@ class OnlineClassifier {
   // pointer makes that a swap.
   using KeyStateMap = std::pmr::unordered_map<int, KeyState>;
 
-  // One per-key record of the snapshot byte stream (shared by the full and
-  // delta paths so the two formats cannot drift).
-  void WriteKeyState(BinaryWriter* writer, int key,
-                     const KeyState& state) const;
-  bool ReadKeyState(BinaryReader* reader, int* key, KeyState* state) const;
+  // The per-key records of the snapshot byte stream, shared by the full
+  // path (every key) and the delta path (the dirty keys the engine holds)
+  // so the two formats cannot drift. `keys` are ascending and present;
+  // ReadKeyStates requires strictly ascending keys.
+  void WriteKeyStates(BinaryWriter* writer, const std::vector<int>& keys) const;
+  bool ReadKeyStates(BinaryReader* reader,
+                     std::vector<std::pair<int, KeyState>>* states) const;
 
   const KvecModel& model_;
   std::pmr::memory_resource* memory_;

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <utility>
 
 #include "util/check.h"
@@ -324,6 +323,26 @@ void ShardedStreamServer::AppendShardSections(
   }
 }
 
+bool ShardedStreamServer::ReadShardSections(
+    const Checkpoint& checkpoint, int32_t section_id,
+    const std::function<bool(int, BinaryReader*)>& read) const {
+  std::vector<char> seen(shards_.size(), 0);
+  for (const CheckpointSection& section : checkpoint.sections) {
+    if (section.id != section_id) continue;
+    BinaryReader reader(section.payload);
+    const int32_t shard = reader.ReadInt32();
+    if (!reader.ok() || shard < 0 || shard >= num_shards() ||
+        seen[shard] != 0 || !read(shard, &reader)) {
+      return false;
+    }
+    seen[shard] = 1;
+  }
+  for (char s : seen) {
+    if (s == 0) return false;  // a shard's section is missing
+  }
+  return true;
+}
+
 Checkpoint ShardedStreamServer::BuildCheckpoint(
     bool stage_delta_baseline) const {
   Checkpoint checkpoint;
@@ -361,21 +380,13 @@ bool ShardedStreamServer::StageFromCheckpoint(
   // shard state, so it runs on the calling thread in both modes.
   staged->clear();
   staged->resize(shards_.size());
-  for (const CheckpointSection& section : checkpoint.sections) {
-    if (section.id != kCheckpointSectionShard) continue;
-    BinaryReader reader(section.payload);
-    const int32_t shard = reader.ReadInt32();
-    if (!reader.ok() || shard < 0 || shard >= num_shards ||
-        (*staged)[shard] != nullptr) {
-      return false;
-    }
-    (*staged)[shard] = std::make_unique<StreamServer>(model_, config_.shard);
-    if (!(*staged)[shard]->Restore(&reader)) return false;
-  }
-  for (const auto& server : *staged) {
-    if (server == nullptr) return false;  // a shard section is missing
-  }
-  return true;
+  return ReadShardSections(
+      checkpoint, kCheckpointSectionShard,
+      [this, staged](int shard, BinaryReader* reader) {
+        (*staged)[shard] =
+            std::make_unique<StreamServer>(model_, config_.shard);
+        return (*staged)[shard]->Restore(reader);
+      });
 }
 
 void ShardedStreamServer::CommitStaged(
@@ -497,22 +508,10 @@ bool ShardedStreamServer::CheckpointIncremental(
   return true;
 }
 
-namespace {
-
-bool ReadFileBytes(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  out->assign((std::istreambuf_iterator<char>(in)),
-              std::istreambuf_iterator<char>());
-  return true;
-}
-
-}  // namespace
-
 bool ShardedStreamServer::RestoreFromCheckpointChain(
     const std::string& base_path, IncrementalCheckpointState* state) {
   std::string base_bytes;
-  if (!ReadFileBytes(base_path, &base_bytes)) return false;
+  if (!ReadFile(base_path, &base_bytes)) return false;
   Checkpoint base;
   if (!CheckpointDecode(base_bytes, &base)) return false;
   // The chain root must be a full checkpoint; a delta file at the base
@@ -526,7 +525,7 @@ bool ShardedStreamServer::RestoreFromCheckpointChain(
   int64_t seq = 1;
   for (;; ++seq) {
     std::string delta_bytes;
-    if (!ReadFileBytes(DeltaPath(base_path, seq), &delta_bytes)) {
+    if (!ReadFile(DeltaPath(base_path, seq), &delta_bytes)) {
       break;  // end of chain
     }
     Checkpoint delta;
@@ -550,20 +549,11 @@ bool ShardedStreamServer::RestoreFromCheckpointChain(
         num_shards != static_cast<int32_t>(shards_.size())) {
       return false;
     }
-    std::vector<char> applied(shards_.size(), 0);
-    for (const CheckpointSection& section : delta.sections) {
-      if (section.id != kCheckpointSectionShardDelta) continue;
-      BinaryReader reader(section.payload);
-      const int32_t shard = reader.ReadInt32();
-      if (!reader.ok() || shard < 0 || shard >= num_shards ||
-          applied[shard] != 0) {
-        return false;
-      }
-      if (!staged[shard]->ApplyDelta(&reader)) return false;
-      applied[shard] = 1;
-    }
-    for (char a : applied) {
-      if (a == 0) return false;  // a shard's delta section is missing
+    if (!ReadShardSections(delta, kCheckpointSectionShardDelta,
+                           [&staged](int shard, BinaryReader* reader) {
+                             return staged[shard]->ApplyDelta(reader);
+                           })) {
+      return false;
     }
     prev_fp = CheckpointFingerprint(delta_bytes);
   }

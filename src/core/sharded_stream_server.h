@@ -299,6 +299,13 @@ class ShardedStreamServer {
       int32_t section_id,
       const std::function<void(StreamServer&, BinaryWriter*)>& write,
       Checkpoint* checkpoint) const;
+  // The reader for AppendShardSections: calls `read` with the shard index
+  // and the rest of the payload for every `section_id` section. False if a
+  // section names a shard out of range or twice, if any shard has none, or
+  // if `read` fails.
+  bool ReadShardSections(
+      const Checkpoint& checkpoint, int32_t section_id,
+      const std::function<bool(int shard, BinaryReader*)>& read) const;
 
   // Shared bodies of the four checkpoint entry points. With
   // `stage_delta_baseline`, each shard also stages its dirty-key baseline

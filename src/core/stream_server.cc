@@ -8,6 +8,44 @@
 
 namespace kvec {
 
+namespace {
+
+// Serving-index records (key, last_seen), ascending by key: every open key
+// in a full snapshot, the dirty open ones in a delta.
+using OpenKeyRecords = std::vector<std::pair<int, int64_t>>;
+
+void WriteOpenKeys(BinaryWriter* writer, const OpenKeyRecords& records) {
+  writer->WriteInt32(static_cast<int32_t>(records.size()));
+  for (const auto& [key, last_seen] : records) {
+    writer->WriteInt32(key);
+    writer->WriteInt64(last_seen);
+  }
+}
+
+// Requires strictly ascending keys (the canonical encoding; a duplicate or
+// reordered record is corruption) and last_seen in [0, position].
+bool ReadOpenKeys(BinaryReader* reader, int64_t position,
+                  OpenKeyRecords* records) {
+  const int32_t count = reader->ReadInt32();
+  if (!reader->ok() || count < 0 ||
+      static_cast<size_t>(count) > reader->remaining() / 8) {
+    return false;
+  }
+  records->reserve(count);
+  for (int32_t i = 0; i < count; ++i) {
+    const int key = reader->ReadInt32();
+    const int64_t last_seen = reader->ReadInt64();
+    if (!reader->ok() || (i > 0 && key <= records->back().first) ||
+        last_seen < 0 || last_seen > position) {
+      return false;
+    }
+    records->emplace_back(key, last_seen);
+  }
+  return true;
+}
+
+}  // namespace
+
 void StreamServerStats::Merge(const StreamServerStats& other) {
   items_processed += other.items_processed;
   sequences_classified += other.sequences_classified;
@@ -262,7 +300,9 @@ const StreamServerStats& StreamServer::stats() const {
   return stats_;
 }
 
-void StreamServer::Snapshot(BinaryWriter* writer) const {
+void StreamServer::WriteHeader(BinaryWriter* writer) const {
+  // Config echo: a checkpoint must never apply to a server with different
+  // serving semantics.
   writer->WriteInt32(config_.max_window_items);
   writer->WriteInt32(config_.idle_timeout);
   writer->WriteInt32(config_.idle_check_interval);
@@ -285,38 +325,19 @@ void StreamServer::Snapshot(BinaryWriter* writer) const {
   // items_shed) are intentionally absent: they belong to the sharded
   // ingest layer's process lifetime, not to serving state, and leaving
   // them out keeps the v1 snapshot layout byte-identical.
-
-  writer->WriteInt32(static_cast<int32_t>(index_->open.size()));
-  for (const auto& [key, state] : index_->open) {  // std::map: canonical order
-    writer->WriteInt32(key);
-    writer->WriteInt64(state.last_seen);
-  }
-
-  // Engine last: Restore stages everything above in temporaries and only
-  // builds the (fresh) engine once the bookkeeping sections parsed.
-  engine_->Snapshot(writer);
 }
 
-bool StreamServer::Restore(BinaryReader* reader) {
-  StreamServerConfig config;
+bool StreamServer::ReadHeader(BinaryReader* reader, Header* header) const {
+  StreamServerConfig& config = header->config;
   config.max_window_items = reader->ReadInt32();
   config.idle_timeout = reader->ReadInt32();
   config.idle_check_interval = reader->ReadInt32();
   config.max_open_keys = reader->ReadInt32();
-  if (!reader->ok() || config.max_window_items <= 0 ||
-      config.idle_timeout <= 0 || config.idle_check_interval <= 0 ||
-      config.max_open_keys <= 0) {
-    return false;
-  }
 
-  const int64_t position = reader->ReadInt64();
-  const int window_items = reader->ReadInt32();
-  if (!reader->ok() || position < 0 || window_items < 0 ||
-      window_items > config.max_window_items) {
-    return false;
-  }
+  header->position = reader->ReadInt64();
+  header->window_items = reader->ReadInt32();
 
-  StreamServerStats stats;
+  StreamServerStats& stats = header->stats;
   stats.items_processed = reader->ReadInt64();
   stats.sequences_classified = reader->ReadInt64();
   stats.policy_halts = reader->ReadInt64();
@@ -326,36 +347,68 @@ bool StreamServer::Restore(BinaryReader* reader) {
   stats.flush_classifications = reader->ReadInt64();
   stats.windows_started = reader->ReadInt32();
   const int32_t num_classes = reader->ReadInt32();
-  if (!reader->ok() ||
-      num_classes != model_.config().spec.num_classes) {
+  if (!reader->ok() || num_classes != model_.config().spec.num_classes) {
     return false;
   }
   stats.class_counts.resize(num_classes);
-  for (int32_t c = 0; c < num_classes; ++c) {
-    stats.class_counts[c] = reader->ReadInt64();
+  for (int64_t& count : stats.class_counts) count = reader->ReadInt64();
+  return reader->ok() && header->position >= 0 && header->window_items >= 0 &&
+         header->window_items <= config.max_window_items;
+}
+
+void StreamServer::AdoptHeader(Header header) {
+  // The compaction knobs and counters and the memory gauges are
+  // process-local (never serialized; see StreamServerConfig): a restore
+  // keeps the live values.
+  header.config.compaction_check_interval = config_.compaction_check_interval;
+  header.config.compaction_fragmentation_threshold =
+      config_.compaction_fragmentation_threshold;
+  header.config.compaction_min_bytes = config_.compaction_min_bytes;
+  header.stats.compactions = stats_.compactions;
+  header.stats.scratch_high_water = stats_.scratch_high_water;
+  header.stats.bytes_resident = stats_.bytes_resident;
+  header.stats.pool_blocks = stats_.pool_blocks;
+
+  config_ = header.config;
+  position_ = header.position;
+  window_items_ = header.window_items;
+  stats_ = std::move(header.stats);
+  items_since_compaction_check_ = 0;
+}
+
+void StreamServer::Snapshot(BinaryWriter* writer) const {
+  WriteHeader(writer);
+  OpenKeyRecords open;
+  open.reserve(index_->open.size());
+  for (const auto& [key, state] : index_->open) {  // std::map: ascending
+    open.emplace_back(key, state.last_seen);
+  }
+  WriteOpenKeys(writer, open);
+  // Engine last: Restore stages everything above in temporaries and only
+  // builds the (fresh) engine once the bookkeeping sections parsed.
+  engine_->Snapshot(writer);
+}
+
+bool StreamServer::Restore(BinaryReader* reader) {
+  Header header;
+  OpenKeyRecords open;
+  if (!ReadHeader(reader, &header) || header.config.max_window_items <= 0 ||
+      header.config.idle_timeout <= 0 ||
+      header.config.idle_check_interval <= 0 ||
+      header.config.max_open_keys <= 0 ||
+      !ReadOpenKeys(reader, header.position, &open) ||
+      open.size() > static_cast<size_t>(header.config.max_open_keys)) {
+    return false;
   }
 
   // Staged into the live shard pool (the pool just grows while the old
   // state still exists; a failed restore leaves only recyclable pool
   // space behind, which the next compaction reclaims).
   auto index = std::make_unique<KeyIndex>(pool_->resource());
-  const int32_t num_open = reader->ReadInt32();
-  if (!reader->ok() || num_open < 0 ||
-      static_cast<size_t>(num_open) > reader->remaining() / 8 ||
-      num_open > config.max_open_keys) {
-    return false;
+  for (const auto& [key, last_seen] : open) {
+    index->open.emplace_hint(index->open.end(), key, OpenKey{last_seen});
+    index->by_last_seen.insert({last_seen, key});
   }
-  for (int32_t i = 0; i < num_open && reader->ok(); ++i) {
-    const int key = reader->ReadInt32();
-    OpenKey state;
-    state.last_seen = reader->ReadInt64();
-    if (!reader->ok() || state.last_seen < 0 || state.last_seen > position) {
-      return false;
-    }
-    if (!index->open.emplace(key, state).second) return false;
-    index->by_last_seen.insert({state.last_seen, key});
-  }
-  if (!reader->ok()) return false;
 
   // A fresh engine keeps the current one intact if the engine section is
   // the part that turns out to be corrupt.
@@ -366,22 +419,9 @@ bool StreamServer::Restore(BinaryReader* reader) {
   // commit below so a tainted checkpoint leaves *this untouched.
   if (!reader->AtEnd()) return false;
 
-  // The compaction knobs and lifetime counter are process-local (never
-  // serialized; see StreamServerConfig): a restore keeps the live values.
-  config.compaction_check_interval = config_.compaction_check_interval;
-  config.compaction_fragmentation_threshold =
-      config_.compaction_fragmentation_threshold;
-  config.compaction_min_bytes = config_.compaction_min_bytes;
-  stats.compactions = stats_.compactions;
-  stats.scratch_high_water = stats_.scratch_high_water;
-
-  config_ = config;
-  position_ = position;
-  window_items_ = window_items;
-  stats_ = std::move(stats);
+  AdoptHeader(std::move(header));
   index_ = std::move(index);
   engine_ = std::move(engine);
-  items_since_compaction_check_ = 0;
   // A full restore invalidates any delta baseline: the restored state is a
   // new world. The chain loader re-arms tracking after its commit.
   dirty_tracking_ = false;
@@ -422,28 +462,9 @@ void StreamServer::SnapshotDelta(BinaryWriter* writer) {
   for (const auto& [key, epoch] : dirty_keys_) dirty_sorted.push_back(key);
   std::sort(dirty_sorted.begin(), dirty_sorted.end());
 
-  // Config echo: a delta must never apply to a server with different
-  // serving semantics (same four knobs the full snapshot carries).
-  writer->WriteInt32(config_.max_window_items);
-  writer->WriteInt32(config_.idle_timeout);
-  writer->WriteInt32(config_.idle_check_interval);
-  writer->WriteInt32(config_.max_open_keys);
-
-  writer->WriteInt64(position_);
-  writer->WriteInt32(window_items_);
-
-  // Stats travel whole (they are a handful of scalars; the churn-
-  // proportional savings are in the per-key payloads below).
-  writer->WriteInt64(stats_.items_processed);
-  writer->WriteInt64(stats_.sequences_classified);
-  writer->WriteInt64(stats_.policy_halts);
-  writer->WriteInt64(stats_.idle_timeouts);
-  writer->WriteInt64(stats_.capacity_evictions);
-  writer->WriteInt64(stats_.rotation_classifications);
-  writer->WriteInt64(stats_.flush_classifications);
-  writer->WriteInt32(stats_.windows_started);
-  writer->WriteInt32(static_cast<int32_t>(stats_.class_counts.size()));
-  for (int64_t count : stats_.class_counts) writer->WriteInt64(count);
+  // The header travels whole (a handful of scalars; the churn-proportional
+  // savings are in the per-key payloads below).
+  WriteHeader(writer);
 
   // When the engine was rebuilt since the base (window rotation), the
   // receiver rebuilds a fresh engine too and the encoder tail starts at 0.
@@ -451,23 +472,20 @@ void StreamServer::SnapshotDelta(BinaryWriter* writer) {
   writer->WriteInt32(engine_reset ? 1 : 0);
   const int base_items = engine_reset ? 0 : base_engine_items_;
 
-  // Serving-index upserts: dirty keys still open (canonical ascending).
-  std::vector<int> open_dirty;
+  // Serving-index upserts for dirty keys still open, then tombstones for
+  // dirty keys no longer open (closed, evicted, or rotated away since the
+  // base); both ascending.
+  OpenKeyRecords upserts;
   std::vector<int> tombstones;
   for (int key : dirty_sorted) {
-    if (index_->open.count(key)) {
-      open_dirty.push_back(key);
+    auto it = index_->open.find(key);
+    if (it != index_->open.end()) {
+      upserts.emplace_back(key, it->second.last_seen);
     } else {
       tombstones.push_back(key);
     }
   }
-  writer->WriteInt32(static_cast<int32_t>(open_dirty.size()));
-  for (int key : open_dirty) {
-    writer->WriteInt32(key);
-    writer->WriteInt64(index_->open.at(key).last_seen);
-  }
-  // Tombstones: dirty keys no longer open (closed, evicted, or rotated
-  // away since the base).
+  WriteOpenKeys(writer, upserts);
   writer->WriteInt32(static_cast<int32_t>(tombstones.size()));
   for (int key : tombstones) writer->WriteInt32(key);
 
@@ -475,62 +493,23 @@ void StreamServer::SnapshotDelta(BinaryWriter* writer) {
 }
 
 bool StreamServer::ApplyDelta(BinaryReader* reader) {
-  const int max_window_items = reader->ReadInt32();
-  const int idle_timeout = reader->ReadInt32();
-  const int idle_check_interval = reader->ReadInt32();
-  const int max_open_keys = reader->ReadInt32();
-  if (!reader->ok() || max_window_items != config_.max_window_items ||
-      idle_timeout != config_.idle_timeout ||
-      idle_check_interval != config_.idle_check_interval ||
-      max_open_keys != config_.max_open_keys) {
-    return false;
-  }
-
-  const int64_t position = reader->ReadInt64();
-  const int window_items = reader->ReadInt32();
-  if (!reader->ok() || position < position_ || window_items < 0 ||
-      window_items > config_.max_window_items) {
-    return false;
-  }
-
-  StreamServerStats stats;
-  stats.items_processed = reader->ReadInt64();
-  stats.sequences_classified = reader->ReadInt64();
-  stats.policy_halts = reader->ReadInt64();
-  stats.idle_timeouts = reader->ReadInt64();
-  stats.capacity_evictions = reader->ReadInt64();
-  stats.rotation_classifications = reader->ReadInt64();
-  stats.flush_classifications = reader->ReadInt64();
-  stats.windows_started = reader->ReadInt32();
-  const int32_t num_classes = reader->ReadInt32();
-  if (!reader->ok() || num_classes != model_.config().spec.num_classes) {
-    return false;
-  }
-  stats.class_counts.resize(num_classes);
-  for (int32_t c = 0; c < num_classes; ++c) {
-    stats.class_counts[c] = reader->ReadInt64();
-  }
-  if (!reader->ok() || stats.windows_started < stats_.windows_started) {
+  Header header;
+  if (!ReadHeader(reader, &header) ||
+      header.config.max_window_items != config_.max_window_items ||
+      header.config.idle_timeout != config_.idle_timeout ||
+      header.config.idle_check_interval != config_.idle_check_interval ||
+      header.config.max_open_keys != config_.max_open_keys ||
+      header.position < position_ ||
+      header.stats.windows_started < stats_.windows_started) {
     return false;
   }
 
   const int engine_reset = reader->ReadInt32();
   if (!reader->ok() || (engine_reset != 0 && engine_reset != 1)) return false;
 
-  const int32_t num_upserts = reader->ReadInt32();
-  if (!reader->ok() || num_upserts < 0 ||
-      static_cast<size_t>(num_upserts) > reader->remaining() / 8) {
-    return false;
-  }
-  int prev_key = -1;
-  for (int32_t i = 0; i < num_upserts && reader->ok(); ++i) {
-    const int key = reader->ReadInt32();
-    const int64_t last_seen = reader->ReadInt64();
-    if (!reader->ok() || (i > 0 && key <= prev_key) || last_seen < 0 ||
-        last_seen > position) {
-      return false;
-    }
-    prev_key = key;
+  OpenKeyRecords upserts;
+  if (!ReadOpenKeys(reader, header.position, &upserts)) return false;
+  for (const auto& [key, last_seen] : upserts) {
     auto [it, inserted] = index_->open.try_emplace(key);
     if (!inserted) {
       index_->by_last_seen.erase({it->second.last_seen, key});
@@ -544,8 +523,8 @@ bool StreamServer::ApplyDelta(BinaryReader* reader) {
       static_cast<size_t>(num_tombstones) > reader->remaining() / 8) {
     return false;
   }
-  prev_key = -1;
-  for (int32_t i = 0; i < num_tombstones && reader->ok(); ++i) {
+  int prev_key = -1;
+  for (int32_t i = 0; i < num_tombstones; ++i) {
     const int key = reader->ReadInt32();
     // Strictly ascending is the canonical encoding; a duplicate (or
     // reordered) tombstone list is corruption, not a double-close.
@@ -565,16 +544,7 @@ bool StreamServer::ApplyDelta(BinaryReader* reader) {
   if (!engine_->ApplyDelta(reader)) return false;
   if (!reader->AtEnd()) return false;
 
-  // Same process-local carve-outs as Restore.
-  stats.compactions = stats_.compactions;
-  stats.scratch_high_water = stats_.scratch_high_water;
-  stats.bytes_resident = stats_.bytes_resident;
-  stats.pool_blocks = stats_.pool_blocks;
-
-  position_ = position;
-  window_items_ = window_items;
-  stats_ = std::move(stats);
-  items_since_compaction_check_ = 0;
+  AdoptHeader(std::move(header));
   return true;
 }
 

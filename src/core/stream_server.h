@@ -289,6 +289,22 @@ class StreamServer {
     std::pmr::set<std::pair<int64_t, int>> by_last_seen;
   };
 
+  // Record code shared by the full and delta layouts (the serving-index
+  // records are in stream_server.cc). Both open with the header: the four
+  // serialized config knobs, the stream clocks and the stats. ReadHeader
+  // checks what both require (clock ranges, the model's class count); each
+  // caller checks the rest. AdoptHeader commits a read header, keeping the
+  // process-local fields' live values.
+  struct Header {
+    StreamServerConfig config;
+    int64_t position = 0;
+    int window_items = 0;
+    StreamServerStats stats;
+  };
+  void WriteHeader(BinaryWriter* writer) const;
+  bool ReadHeader(BinaryReader* reader, Header* header) const;
+  void AdoptHeader(Header header);
+
   // Shared bodies of the four checkpoint entry points.
   Checkpoint BuildCheckpoint() const;
   bool RestoreFromCheckpoint(const Checkpoint& checkpoint);

@@ -1,12 +1,12 @@
 #include "util/serialize.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 
 #include "util/fault_injection.h"
 
@@ -78,25 +78,10 @@ void BinaryWriter::WriteInts(const int* values, size_t count) {
 }
 
 bool BinaryWriter::SaveToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-  return static_cast<bool>(out);
+  return AtomicWriteFile(path, buffer_);
 }
 
 BinaryReader::BinaryReader(std::string buffer) : buffer_(std::move(buffer)) {}
-
-BinaryReader BinaryReader::FromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    BinaryReader reader{std::string()};
-    reader.ok_ = false;
-    return reader;
-  }
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  return BinaryReader(std::move(contents));
-}
 
 bool BinaryReader::Consume(void* data, size_t size) {
   if (!ok_) return false;
@@ -292,19 +277,12 @@ bool CheckpointSave(const std::string& path, const Checkpoint& checkpoint) {
   // Tests force the disk-full / yanked-volume shape here; callers must
   // treat a false as "no checkpoint exists at `path`".
   if (KVEC_FAULT_POINT("checkpoint.save")) return false;
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  const std::string bytes = CheckpointEncode(checkpoint);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return static_cast<bool>(out);
+  return AtomicWriteFile(path, CheckpointEncode(checkpoint));
 }
 
 bool CheckpointLoad(const std::string& path, Checkpoint* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  return CheckpointDecode(contents, out);
+  std::string bytes;
+  return ReadFile(path, &bytes) && CheckpointDecode(bytes, out);
 }
 
 uint64_t CheckpointFingerprint(const std::string& bytes) {
@@ -361,6 +339,33 @@ bool AtomicWriteFile(const std::string& path, const std::string& bytes) {
     return false;
   }
   return SyncParentDirectory(path);
+}
+
+bool ReadFile(const std::string& path, std::string* out) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  struct stat info {};
+  bool ok = ::fstat(fd, &info) == 0;
+  // One spare byte past the reported size: a regular file is read in one
+  // call, and the next returning 0 confirms the end. A file that reports no
+  // size (or grew meanwhile) still reads to its end, doubling as it goes.
+  std::string bytes(ok ? static_cast<size_t>(info.st_size) + 1 : 0, '\0');
+  size_t done = 0;
+  while (ok) {
+    if (done == bytes.size()) bytes.resize(2 * bytes.size());
+    const ssize_t n = ::read(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      ok = n == 0;
+      break;
+    }
+    done += static_cast<size_t>(n);
+  }
+  ok = ::close(fd) == 0 && ok;
+  if (!ok) return false;
+  bytes.resize(done);
+  *out = std::move(bytes);
+  return true;
 }
 
 }  // namespace kvec

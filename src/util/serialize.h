@@ -54,7 +54,8 @@ class BinaryWriter {
 
   const std::string& buffer() const { return buffer_; }
 
-  // Writes the buffer to `path`. Returns false on I/O failure.
+  // Writes the buffer to `path` with AtomicWriteFile. Returns false on I/O
+  // failure.
   bool SaveToFile(const std::string& path) const;
 
  private:
@@ -65,10 +66,6 @@ class BinaryWriter {
 class BinaryReader {
  public:
   explicit BinaryReader(std::string buffer);
-
-  // Creates a reader over the contents of `path`; `ok()` reports whether the
-  // file could be read.
-  static BinaryReader FromFile(const std::string& path);
 
   // All reads fail closed: on truncation, tag mismatch, or a bad length
   // prefix they set ok() to false and return 0 / an empty value.
@@ -164,7 +161,9 @@ std::string CheckpointEncode(const Checkpoint& checkpoint);
 // Never aborts and never allocates more than `bytes.size()` payload.
 bool CheckpointDecode(const std::string& bytes, Checkpoint* out);
 
-// File entry points: Save frames + writes, Load reads + parses.
+// File entry points: Save frames + writes with AtomicWriteFile (a failed
+// save leaves the previous file as it was), Load reads with ReadFile +
+// parses.
 bool CheckpointSave(const std::string& path, const Checkpoint& checkpoint);
 bool CheckpointLoad(const std::string& path, Checkpoint* out);
 
@@ -179,9 +178,14 @@ uint64_t CheckpointFingerprint(const std::string& bytes);
 // never a torn one. The file is fsynced before the rename and its
 // directory after it, so a true return means the bytes are durably on disk.
 // On false the ".tmp" is removed and `path` is untouched (unless only the
-// directory fsync failed, after the rename). Delta-chain writes go through
-// this.
+// directory fsync failed, after the rename). Every checkpoint, delta link,
+// model file and model bundle is written through this.
 bool AtomicWriteFile(const std::string& path, const std::string& bytes);
+
+// Reads the whole of `path` into `*out` in one sized read. Returns false
+// (leaving `*out` untouched) if the file cannot be opened or read. Every
+// checkpoint, delta link, model file and model bundle is read through this.
+bool ReadFile(const std::string& path, std::string* out);
 
 }  // namespace kvec
 

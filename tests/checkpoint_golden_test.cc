@@ -13,14 +13,18 @@
 //   KVEC_REGEN_GOLDEN=tests/data/stream_server_v1.ckpt ./checkpoint_golden_test
 // then update the pinned constants below from the printed values.
 //
-// PR 10 adds the version-2 delta golden: a two-shard chain (base +
-// delta.1) produced by the same tiny recipe, pinning the delta container
-// frame, the manifest layout, and chain restore. Regenerating it:
-//   KVEC_REGEN_GOLDEN_V2=tests/data/stream_server_v2_base.ckpt \
-//       ./checkpoint_golden_test
+// The version-2 delta golden is a two-shard chain (base + delta.1)
+// produced by the same tiny recipe, pinning the delta container frame, the
+// manifest layout, and chain restore. Beside it sits the full checkpoint of
+// the same server at the chain's end (item 180), which the restored chain
+// must re-encode to. Regenerating them:
+//   KVEC_REGEN_GOLDEN_V2=tests/data/stream_server_v2_base.ckpt ./checkpoint_golden_test
+//
+// Every byte pin here compares bytes restored from a committed file, never
+// bytes computed by this build: float payloads computed by a build with
+// other flags (sanitizers, another instruction set) may differ by a few
+// ULP from those of the Release build that wrote the goldens.
 #include <cstdlib>
-#include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -155,6 +159,23 @@ TEST(CheckpointGoldenTest, RestoresIntoCompatibleServer) {
             stats.sequences_classified);
 }
 
+std::string SlurpFile(const std::string& path) {
+  std::string bytes;
+  EXPECT_TRUE(ReadFile(path, &bytes)) << "cannot read " << path;
+  return bytes;
+}
+
+// The full writer, pinned byte for byte: a restored golden re-encodes to
+// exactly the committed file.
+TEST(CheckpointGoldenTest, FullWriterReproducesTheV1Golden) {
+  const std::string golden =
+      SlurpFile(std::string(KVEC_TEST_DATA_DIR) + kGoldenFile);
+  KvecModel model = MakeGoldenModel();
+  StreamServer server(model, GoldenServerConfig());
+  ASSERT_TRUE(server.RestoreCheckpoint(golden));
+  EXPECT_EQ(server.EncodeCheckpoint(), golden);
+}
+
 TEST(CheckpointGoldenTest, UnknownSectionsAreSkipped) {
   Checkpoint checkpoint;
   ASSERT_TRUE(CheckpointLoad(
@@ -172,6 +193,8 @@ TEST(CheckpointGoldenTest, UnknownSectionsAreSkipped) {
 // ---- Version-2 delta golden (PR 10) --------------------------------------
 
 constexpr char kDeltaGoldenBase[] = "/stream_server_v2_base.ckpt";
+// The full checkpoint of the chain's server after its last link.
+constexpr char kDeltaGoldenEnd[] = "/stream_server_v2_end.ckpt";
 
 ShardedStreamServerConfig GoldenShardedConfig() {
   ShardedStreamServerConfig config;
@@ -192,12 +215,6 @@ void FeedGoldenRange(ShardedStreamServer* server, int from, int to) {
   }
 }
 
-std::string SlurpFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
 TEST(CheckpointGoldenTest, RegenerateDeltaGolden) {
   const char* out_base = std::getenv("KVEC_REGEN_GOLDEN_V2");
   if (out_base == nullptr) {
@@ -211,11 +228,18 @@ TEST(CheckpointGoldenTest, RegenerateDeltaGolden) {
   ASSERT_TRUE(server.CheckpointIncremental(out_base, 0, &state));
   FeedGoldenRange(&server, 120, 180);
   ASSERT_TRUE(server.CheckpointIncremental(out_base, 0, &state));
+  // The end-of-chain checkpoint goes beside the base.
+  const std::string base_path = out_base;
+  const size_t slash = base_path.rfind('/');
+  const std::string end_path =
+      (slash == std::string::npos ? "." : base_path.substr(0, slash)) +
+      kDeltaGoldenEnd;
+  ASSERT_TRUE(server.SaveCheckpoint(end_path));
   const StreamServerStats stats = server.stats();
   std::printf(
-      "delta golden written to %s{,.delta.1}\n  open_keys=%d items=%lld "
-      "classified=%lld windows=%d\n",
-      out_base, server.open_keys(),
+      "delta golden written to %s{,.delta.1} and %s\n  open_keys=%d "
+      "items=%lld classified=%lld windows=%d\n",
+      out_base, end_path.c_str(), server.open_keys(),
       static_cast<long long>(stats.items_processed),
       static_cast<long long>(stats.sequences_classified),
       stats.windows_started);
@@ -248,6 +272,15 @@ TEST(CheckpointGoldenTest, DeltaFrameDecodesAtVersion2) {
   EXPECT_EQ(stored_prev, stored_base);
 }
 
+TEST(CheckpointGoldenTest, FullWriterReproducesTheV2BaseGolden) {
+  const std::string golden =
+      SlurpFile(std::string(KVEC_TEST_DATA_DIR) + kDeltaGoldenBase);
+  KvecModel model = MakeGoldenModel();
+  ShardedStreamServer server(model, GoldenShardedConfig());
+  ASSERT_TRUE(server.RestoreCheckpoint(golden));
+  EXPECT_EQ(server.EncodeCheckpoint(), golden);
+}
+
 TEST(CheckpointGoldenTest, DeltaChainRestoresIntoCompatibleServer) {
   const std::string base_path =
       std::string(KVEC_TEST_DATA_DIR) + kDeltaGoldenBase;
@@ -255,11 +288,10 @@ TEST(CheckpointGoldenTest, DeltaChainRestoresIntoCompatibleServer) {
   ShardedStreamServer restored(model, GoldenShardedConfig());
   ASSERT_TRUE(restored.RestoreFromCheckpointChain(base_path));
 
-  // The committed chain must reconstruct exactly the state a fresh server
-  // reaches by serving the generator's 180 items directly.
-  ShardedStreamServer replayed(model, GoldenShardedConfig());
-  FeedGoldenRange(&replayed, 0, 180);
-  EXPECT_EQ(restored.EncodeCheckpoint(), replayed.EncodeCheckpoint());
+  // The committed chain must reconstruct exactly the state its writer
+  // reached after the generator's 180 items.
+  EXPECT_EQ(restored.EncodeCheckpoint(),
+            SlurpFile(std::string(KVEC_TEST_DATA_DIR) + kDeltaGoldenEnd));
   EXPECT_EQ(restored.stats().items_processed, 180);
 }
 

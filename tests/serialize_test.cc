@@ -7,9 +7,9 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <iterator>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -53,16 +53,18 @@ TEST(SerializeTest, FileRoundTrip) {
   writer.WriteFloatVector({0.5f, 1.5f});
   ASSERT_TRUE(writer.SaveToFile(path));
 
-  BinaryReader reader = BinaryReader::FromFile(path);
-  ASSERT_TRUE(reader.ok());
+  std::string bytes;
+  ASSERT_TRUE(ReadFile(path, &bytes));
+  BinaryReader reader(bytes);
   EXPECT_EQ(reader.ReadInt32(), 99);
   EXPECT_EQ(reader.ReadFloatVector(), (std::vector<float>{0.5f, 1.5f}));
+  EXPECT_TRUE(reader.ok());
   std::remove(path.c_str());
 }
 
 TEST(SerializeTest, MissingFileReportsNotOk) {
-  BinaryReader reader = BinaryReader::FromFile("/nonexistent/kvec.bin");
-  EXPECT_FALSE(reader.ok());
+  std::string bytes;
+  EXPECT_FALSE(ReadFile("/nonexistent/kvec.bin", &bytes));
 }
 
 // ---- Fail-closed reads (the reader must never abort, allocate huge
@@ -207,45 +209,75 @@ TEST(AtomicWriteFileTest, WritesAndReplaces) {
   const std::string path = ::testing::TempDir() + "/atomic_write_test.bin";
   ASSERT_TRUE(AtomicWriteFile(path, "first"));
   ASSERT_TRUE(AtomicWriteFile(path, std::string("\x00second\xff", 9)));
-  std::ifstream in(path, std::ios::binary);
-  std::string read((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  std::string read;
+  ASSERT_TRUE(ReadFile(path, &read));
   EXPECT_EQ(read, std::string("\x00second\xff", 9));
   std::remove(path.c_str());
 }
 
-std::string ReadAll(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+// A whole-file writer and the reader for what it wrote, both over one
+// opaque payload.
+struct FileCodec {
+  const char* name;
+  std::function<bool(const std::string& path, const std::string& payload)>
+      write;
+  std::function<bool(const std::string& path, std::string* payload)> read;
+};
+
+std::vector<FileCodec> FileCodecs() {
+  return {
+      {"AtomicWriteFile", AtomicWriteFile, ReadFile},
+      {"CheckpointSave",
+       [](const std::string& path, const std::string& payload) {
+         Checkpoint checkpoint;
+         checkpoint.sections.push_back(
+             {kCheckpointSectionStreamServer, payload});
+         return CheckpointSave(path, checkpoint);
+       },
+       [](const std::string& path, std::string* payload) {
+         Checkpoint checkpoint;
+         if (!CheckpointLoad(path, &checkpoint) ||
+             checkpoint.sections.size() != 1) {
+           return false;
+         }
+         *payload = checkpoint.sections[0].payload;
+         return true;
+       }},
+  };
 }
 
 TEST(AtomicWriteFileTest, FailedWriteLeavesOldFileAndNoTemporary) {
   // A file-size limit cuts the write short: at 1000 bytes only the final
   // buffer flush fails, at 100000 the first write does. Either way the
-  // call must report failure, keep the previous file byte for byte, and
-  // leave no ".tmp" behind. The limit is lowered in a forked child, so
-  // only that child is constrained.
+  // call must report failure, keep the previous file loadable byte for
+  // byte, and leave no ".tmp" behind. The limit is lowered in a forked
+  // child, so only that child is constrained.
   const std::string path = ::testing::TempDir() + "/atomic_write_fsize.bin";
   const std::string good(50, 'g');
-  for (const size_t payload : {size_t{1000}, size_t{100000}}) {
-    SCOPED_TRACE("payload " + std::to_string(payload));
-    ASSERT_TRUE(AtomicWriteFile(path, good));
-    const pid_t child = fork();
-    ASSERT_GE(child, 0);
-    if (child == 0) {
-      std::signal(SIGXFSZ, SIG_IGN);
-      const rlimit limit{100, 100};
-      if (setrlimit(RLIMIT_FSIZE, &limit) != 0) _exit(2);
-      _exit(AtomicWriteFile(path, std::string(payload, 'x')) ? 1 : 0);
+  for (const FileCodec& codec : FileCodecs()) {
+    for (const size_t payload : {size_t{1000}, size_t{100000}}) {
+      SCOPED_TRACE(std::string(codec.name) + ", payload " +
+                   std::to_string(payload));
+      ASSERT_TRUE(codec.write(path, good));
+      const pid_t child = fork();
+      ASSERT_GE(child, 0);
+      if (child == 0) {
+        std::signal(SIGXFSZ, SIG_IGN);
+        const rlimit limit{100, 100};
+        if (setrlimit(RLIMIT_FSIZE, &limit) != 0) _exit(2);
+        _exit(codec.write(path, std::string(payload, 'x')) ? 1 : 0);
+      }
+      int status = 0;
+      ASSERT_EQ(waitpid(child, &status, 0), child);
+      ASSERT_TRUE(WIFEXITED(status));
+      EXPECT_EQ(WEXITSTATUS(status), 0)
+          << "the cut-short write reported success";
+      std::string kept;
+      EXPECT_TRUE(codec.read(path, &kept)) << "the old file no longer loads";
+      EXPECT_EQ(kept, good);
+      EXPECT_NE(access((path + ".tmp").c_str(), F_OK), 0) << ".tmp leaked";
+      std::remove((path + ".tmp").c_str());
     }
-    int status = 0;
-    ASSERT_EQ(waitpid(child, &status, 0), child);
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 0) << "the cut-short write reported success";
-    EXPECT_EQ(ReadAll(path), good);
-    EXPECT_NE(access((path + ".tmp").c_str(), F_OK), 0) << ".tmp leaked";
-    std::remove((path + ".tmp").c_str());
   }
   std::remove(path.c_str());
 }
