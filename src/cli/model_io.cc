@@ -267,8 +267,9 @@ std::unique_ptr<KvecModel> LoadModelBundle(const std::string& path,
     return nullptr;
   };
   Checkpoint checkpoint;
-  if (!CheckpointLoad(path, &checkpoint)) {
-    return fail("cannot read model bundle '" + path + "'");
+  std::string load_error;
+  if (!CheckpointLoad(path, &checkpoint, &load_error)) {
+    return fail("cannot read model bundle '" + path + "': " + load_error);
   }
   const CheckpointSection* config_section =
       checkpoint.Find(kCheckpointSectionModelConfig);

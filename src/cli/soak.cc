@@ -20,7 +20,6 @@
 #include "core/model.h"
 #include "core/sharded_stream_server.h"
 #include "data/types.h"
-#include "tensor/buffer_pool.h"
 #include "util/allocator_tuning.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -55,7 +54,7 @@ constexpr double kDefaultRssBand = 0.10;
 // Each soak cycle makes this many full passes over the stage's key space:
 // enough that every shard crosses a window-rotation boundary roughly once
 // per cycle (the window is sized to ~2.2 passes below), so a cycle
-// exercises rotation, idle/capacity eviction, and steady-state churn.
+// exercises rotation, idle eviction, and steady-state churn.
 constexpr int kPassesPerCycle = 2;
 
 int RuntimeError(const std::string& message, std::ostream& err) {
@@ -149,7 +148,7 @@ struct StageResult {
   int64_t rss_steady = -1;  // median of post-warm-up samples; -1 unknown
   // Upward-trend measure over the post-warm-up samples: peak of the second
   // half relative to the median of the first half. Negative when RSS
-  // settles downward (allocator trim, buffer-pool drain) — benign for a
+  // settles downward (allocator trim, pool compaction) — benign for a
   // bounded-memory claim, so it must not trip the band the way a
   // symmetric (max-min)/min spread would.
   double rss_drift = 0.0;
@@ -165,6 +164,28 @@ struct StageResult {
   std::vector<int64_t> rss_samples;  // per-steady-cycle peak RSS, in order
 };
 
+// The most keys any one shard holds, under the server's key-to-shard
+// hash, in the windows of `target_keys` consecutive keys a stage feeds:
+// starting at 0, then advancing by `step` keys `slides` times.
+int64_t BusiestShardKeys(int shards, int64_t target_keys, int64_t step,
+                         int slides) {
+  std::vector<int64_t> count(static_cast<size_t>(shards), 0);
+  for (int64_t key = 0; key < target_keys; ++key) {
+    ++count[ShardedStreamServer::ShardOf(static_cast<int>(key), shards)];
+  }
+  int64_t busiest = *std::max_element(count.begin(), count.end());
+  int64_t base = 0;
+  for (int slide = 0; slide < slides; ++slide, base += step) {
+    for (int64_t key = base; key < base + step; ++key) {
+      --count[ShardedStreamServer::ShardOf(static_cast<int>(key), shards)];
+      ++count[ShardedStreamServer::ShardOf(
+          static_cast<int>(key + target_keys), shards)];
+    }
+    busiest = std::max(busiest, *std::max_element(count.begin(), count.end()));
+  }
+  return busiest;
+}
+
 // One soak stage: a fresh server scoped to `target_keys`, warm-up cycles
 // to reach the plateau, then steady cycles whose per-cycle peak-RSS
 // samples must show no upward trend beyond the band. Each cycle: kPassesPerCycle round-robin
@@ -175,17 +196,24 @@ bool RunStage(const KvecModel& model, const SoakOptions& options,
               StageResult* result, std::string* error) {
   const int shards = options.shards;
   const int64_t per_shard = (target_keys + shards - 1) / shards;
+  const int64_t churn_keys = std::max<int64_t>(
+      0, static_cast<int64_t>(options.churn * static_cast<double>(target_keys)));
+  const int64_t busiest_shard =
+      BusiestShardKeys(shards, target_keys, churn_keys / kPassesPerCycle,
+                       options.steady_cycles * kPassesPerCycle);
 
   ShardedStreamServerConfig config;
   config.num_shards = shards;
   config.worker_threads = options.workers;
-  // Per-shard bounds sized from the stage target so all three close paths
-  // fire every steady cycle: capacity 2% above an even hash split, idle
+  // Per-shard bounds sized from the stage target: capacity holds the
+  // busiest shard's share of every planned key window (the hash splits
+  // keys unevenly, so an even split plus slack would cap the peak below
+  // the target), plus 2% for the windows a --minutes run slides on to; idle
   // eviction at 1.3 passes (active keys are touched every ~1.0 pass;
   // churn-retired ones stop and get swept mid-next-pass), and engine
   // rotation once per cycle (the window holds exactly one cycle's items).
-  config.shard.max_open_keys = static_cast<int>(
-      std::max<int64_t>(16, per_shard + std::max<int64_t>(8, per_shard / 50)));
+  config.shard.max_open_keys = static_cast<int>(std::max<int64_t>(
+      16, busiest_shard + std::max<int64_t>(8, per_shard / 50)));
   config.shard.idle_timeout = static_cast<int>(
       std::max<int64_t>(64, per_shard + (3 * per_shard) / 10));
   config.shard.max_window_items =
@@ -219,8 +247,6 @@ bool RunStage(const KvecModel& model, const SoakOptions& options,
     std::remove(chain_base.c_str());
   };
 
-  const int64_t churn_keys = std::max<int64_t>(
-      0, static_cast<int64_t>(options.churn * static_cast<double>(target_keys)));
   int64_t key_base = 0;
   int64_t position = 0;
   int64_t compactions_seen = 0;
@@ -274,9 +300,9 @@ bool RunStage(const KvecModel& model, const SoakOptions& options,
       result->items += target_keys;
       // Steady-state churn, applied per pass so retirement happens INSIDE
       // the rotation window: the oldest churn share of the key window goes
-      // quiet (idle sweep catches it at 1.3 passes) while the fresh share
-      // pushes the shard over capacity (LRU eviction catches the rest) —
-      // both close paths keep recycling pool nodes every cycle.
+      // quiet (idle sweep catches it at 1.3 passes, before the fresh share
+      // arrives at the end of the next pass), so idle closes keep
+      // recycling pool nodes every cycle.
       if (!warmup) key_base += churn_keys / kPassesPerCycle;
     }
 
@@ -319,19 +345,6 @@ bool RunStage(const KvecModel& model, const SoakOptions& options,
     }
 
     if (!warmup && cycle_rss_peak >= 0) steady_rss.push_back(cycle_rss_peak);
-    if (std::getenv("KVEC_SOAK_DEBUG_POOL") != nullptr) {
-      const BufferPool::Stats bp = BufferPool::Global().stats();
-      std::fprintf(
-          stderr,
-          "[cycle %d] cached=%.1fMiB bufs=%zu hits=%llu miss=%llu "
-          "oversized=%llu evict=%llu drop=%llu\n",
-          cycle, static_cast<double>(bp.cached_floats) * 4.0 / (1024.0 * 1024.0),
-          bp.cached_buffers, static_cast<unsigned long long>(bp.hits),
-          static_cast<unsigned long long>(bp.misses),
-          static_cast<unsigned long long>(bp.oversized_rejects),
-          static_cast<unsigned long long>(bp.evicted),
-          static_cast<unsigned long long>(bp.dropped));
-    }
     ++cycle;
   }
 
@@ -359,7 +372,7 @@ bool RunStage(const KvecModel& model, const SoakOptions& options,
     // A leak trends UP: the late samples sit above the early ones. Compare
     // the second half's peak against the first half's median so monotone
     // growth fails the band while benign downward settling (glibc trim,
-    // buffer-pool drain after the warm-up overshoot) does not.
+    // compaction after the warm-up overshoot) does not.
     if (steady_rss.size() >= 2) {
       const size_t half = steady_rss.size() / 2;
       std::vector<int64_t> early(steady_rss.begin(),

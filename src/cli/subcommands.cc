@@ -128,6 +128,12 @@ int RuntimeError(const std::string& message, std::ostream& err) {
   return kExitRuntime;
 }
 
+int RestoreError(const std::string& path, const std::string& reason,
+                 std::ostream& err) {
+  return RuntimeError("cannot restore checkpoint '" + path + "': " + reason,
+                      err);
+}
+
 void EmitSummaryFields(const EvaluationSummary& summary, JsonWriter* json) {
   json->Key("earliness").Double(summary.earliness);
   json->Key("accuracy").Double(summary.accuracy);
@@ -998,9 +1004,10 @@ int RunListenServe(const KvecModel& model,
     return kExitUsage;
   }
   ShardedStreamServer server(model, sharded_config);
-  if (!load_checkpoint.empty() && !server.LoadCheckpoint(load_checkpoint)) {
-    return RuntimeError("cannot restore checkpoint '" + load_checkpoint + "'",
-                        err);
+  std::string restore_error;
+  if (!load_checkpoint.empty() &&
+      !server.LoadCheckpoint(load_checkpoint, &restore_error)) {
+    return RestoreError(load_checkpoint, restore_error, err);
   }
   net::TcpIngestServerConfig net_config;
   net_config.host = host;
@@ -1358,17 +1365,16 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
         // With incremental checkpointing on, the load path is the head of a
         // delta chain; loading the same path we save to resumes the chain
         // in place instead of rebasing from scratch.
+        std::string restore_error;
         const bool ok =
             ckpt_every > 0
                 ? server.RestoreFromCheckpointChain(
-                      *load_checkpoint, *load_checkpoint == *save_checkpoint
-                                            ? &inc_state
-                                            : nullptr)
-                : server.LoadCheckpoint(*load_checkpoint);
-        if (!ok) {
-          return RuntimeError(
-              "cannot restore checkpoint '" + *load_checkpoint + "'", err);
-        }
+                      *load_checkpoint,
+                      *load_checkpoint == *save_checkpoint ? &inc_state
+                                                           : nullptr,
+                      &restore_error)
+                : server.LoadCheckpoint(*load_checkpoint, &restore_error);
+        if (!ok) return RestoreError(*load_checkpoint, restore_error, err);
       }
       ReplayTick tick;
       if (ckpt_every > 0) {
@@ -1406,10 +1412,10 @@ int RunServeOrBench(const std::vector<std::string>& args, std::ostream& out,
       }
     } else {
       StreamServer server(*model, server_config);
+      std::string restore_error;
       if (!load_checkpoint->empty() &&
-          !server.LoadCheckpoint(*load_checkpoint)) {
-        return RuntimeError(
-            "cannot restore checkpoint '" + *load_checkpoint + "'", err);
+          !server.LoadCheckpoint(*load_checkpoint, &restore_error)) {
+        return RestoreError(*load_checkpoint, restore_error, err);
       }
       outcome = ReplayStream(server, &recorder, stream,
                              static_cast<int>(*batch), *flush);
@@ -1660,11 +1666,9 @@ int RunCheckpoint(const std::vector<std::string>& args, std::ostream& out,
   }
 
   Checkpoint checkpoint;
-  if (!CheckpointLoad(*file, &checkpoint)) {
-    return RuntimeError("'" + *file +
-                            "' is not a readable checkpoint container "
-                            "(bad magic, version, or framing)",
-                        err);
+  std::string load_error;
+  if (!CheckpointLoad(*file, &checkpoint, &load_error)) {
+    return RuntimeError("cannot inspect '" + *file + "': " + load_error, err);
   }
 
   // If a model-config section parses, describe the model too.

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "tensor/buffer_pool.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "util/check.h"
@@ -45,27 +44,11 @@ void KvrlEncoder::CollectParameters(std::vector<Tensor>* out) {
 
 // ---- IncrementalEncoder --------------------------------------------------
 
-IncrementalEncoder::PooledBuffer::~PooledBuffer() {
-  BufferPool::Global().Release(std::move(buffer_));
-}
-
-float* IncrementalEncoder::PooledBuffer::Ensure(size_t n) {
-  if (buffer_.size() < n) {
-    BufferPool::Global().Release(std::move(buffer_));
-    buffer_ = BufferPool::Global().AcquireUninitialized(n);
-  }
-  return buffer_.data();
-}
-
 IncrementalEncoder::IncrementalEncoder(const KvrlEncoder& encoder)
     : encoder_(encoder),
       dim_(encoder.config().embed_dim),
       head_dim_(encoder.blocks().front().attention().head_dim()),
       num_heads_(encoder.blocks().front().attention().num_heads()) {}
-
-IncrementalEncoder::~IncrementalEncoder() {
-  BufferPool::Global().Release(std::move(arena_));
-}
 
 float* IncrementalEncoder::KeyPanel(int block, int head) {
   const size_t block_stride = 2 * static_cast<size_t>(capacity_) * dim_;
@@ -83,8 +66,8 @@ float* IncrementalEncoder::ValuePanel(int block, int head) {
 void IncrementalEncoder::RepackArena(int new_capacity) {
   KVEC_DCHECK(new_capacity >= num_items_);
   const int num_blocks = static_cast<int>(encoder_.blocks().size());
-  std::vector<float> fresh = BufferPool::Global().AcquireUninitialized(
-      2 * static_cast<size_t>(num_blocks) * new_capacity * dim_);
+  std::vector<float> fresh(2 * static_cast<size_t>(num_blocks) *
+                           new_capacity * dim_);
   if (num_items_ > 0) {
     // Move the live [num_items_, head_dim] panels into the new layout.
     const size_t old_block_stride = 2 * static_cast<size_t>(capacity_) * dim_;
@@ -110,7 +93,6 @@ void IncrementalEncoder::RepackArena(int new_capacity) {
       }
     }
   }
-  BufferPool::Global().Release(std::move(arena_));
   arena_ = std::move(fresh);
   capacity_ = new_capacity;
 }
@@ -125,7 +107,7 @@ void IncrementalEncoder::EnsureCapacity(int min_items) {
 void IncrementalEncoder::ShrinkToFit() {
   if (capacity_ == 0) return;
   // Same geometric ladder EnsureCapacity climbs, so a shrink lands on a
-  // capacity growth would also have produced (keeps sizes pool-friendly).
+  // capacity growth would also have produced.
   int tight = 64;
   while (tight < num_items_) tight *= 2;
   if (tight >= capacity_) return;
@@ -284,7 +266,8 @@ std::vector<float> IncrementalEncoder::AppendItem(
   // ---- Input embedding row: sum of the four embedding families. This
   // mirrors InputEmbedding::Forward for a single item; the batch-vs-
   // incremental equivalence test keeps the two in sync. ----
-  float* x = x_.Ensure(dim_);
+  x_.resize(dim_);
+  float* x = x_.data();
   std::fill(x, x + dim_, 0.0f);
   encoder_.input_embedding().AccumulateItemRow(item, position_in_key, t, x);
 
@@ -295,35 +278,37 @@ std::vector<float> IncrementalEncoder::AppendItem(
     const AttentionBlock& block = encoder_.blocks()[b];
     const MaskedSelfAttention& attention = block.attention();
 
-    LinearRow(x_.vec(), attention.query().weight(), Tensor(), &q_.vec());
-    LinearRow(x_.vec(), attention.key().weight(), Tensor(), &k_.vec());
-    LinearRow(x_.vec(), attention.value().weight(), Tensor(), &v_.vec());
+    LinearRow(x_, attention.query().weight(), Tensor(), &q_);
+    LinearRow(x_, attention.key().weight(), Tensor(), &k_);
+    LinearRow(x_, attention.value().weight(), Tensor(), &v_);
     ScatterKv(static_cast<int>(b), t, k_.data(), v_.data());
 
     // Scores over the visible set plus self, independently per head (the
     // heads read disjoint panels of the arena).
-    float* attended = attended_.Ensure(dim_);
+    attended_.resize(dim_);
+    float* attended = attended_.data();
     AttendRow(static_cast<int>(b), attention, q_.data(), targets_, attended);
     if (attention.output_projection() != nullptr) {
-      LinearRow(attended_.vec(), attention.output_projection()->weight(),
-                Tensor(), &mixed_.vec());
+      LinearRow(attended_, attention.output_projection()->weight(), Tensor(),
+                &mixed_);
       attended = mixed_.data();
     }
 
     // Residual + LN, FFN, residual + LN (no dropout at inference).
-    float* h = h_.Ensure(dim_);
+    h_.resize(dim_);
+    float* h = h_.data();
     for (int c = 0; c < dim_; ++c) h[c] = x[c] + attended[c];
     LayerNormRow(block.norm_attention().gamma(), block.norm_attention().beta(),
                  h, dim_);
-    LinearRow(h_.vec(), block.ffn().first().weight(),
-              block.ffn().first().bias(), &hidden_.vec());
+    LinearRow(h_, block.ffn().first().weight(), block.ffn().first().bias(),
+              &hidden_);
     const int ffn_dim = block.ffn().first().weight().cols();
     float* hidden = hidden_.data();
     for (int c = 0; c < ffn_dim; ++c) {
       hidden[c] = hidden[c] > 0.0f ? hidden[c] : 0.0f;
     }
-    LinearRow(hidden_.vec(), block.ffn().second().weight(),
-              block.ffn().second().bias(), &f_.vec());
+    LinearRow(hidden_, block.ffn().second().weight(),
+              block.ffn().second().bias(), &f_);
     float* f = f_.data();
     for (int c = 0; c < dim_; ++c) f[c] += h[c];
     LayerNormRow(block.norm_ffn().gamma(), block.norm_ffn().beta(), f, dim_);

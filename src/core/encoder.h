@@ -58,20 +58,19 @@ class KvrlEncoder : public Module {
 // dropout; caches per-block keys/values and computes only the new row(s)
 // for each arriving item or microbatch.
 //
-// Memory layout: all cached K/V panels live in ONE contiguous arena drawn
-// from BufferPool and grown geometrically, laid out SoA head-major —
+// Memory layout: all cached K/V panels live in ONE contiguous arena (a
+// plain vector) grown geometrically, laid out SoA head-major —
 // for block b and head h the keys of items 0..t form one contiguous
 // [t, head_dim] panel. The attention score loop over an item's visible set
 // therefore gathers contiguous head_dim-long rows (kernels::Dot on
 // sequential memory) instead of striding across a [t, d] row-major matrix,
-// and window rotation returns the whole arena to the pool in one release.
+// and window rotation frees the whole arena in one deallocation.
 // (The seed implementation kept three std::vectors per block — including a
 // block-outputs cache that nothing ever read — each reallocating
 // independently as the window grew.)
 class IncrementalEncoder {
  public:
   explicit IncrementalEncoder(const KvrlEncoder& encoder);
-  ~IncrementalEncoder();
 
   IncrementalEncoder(const IncrementalEncoder&) = delete;
   IncrementalEncoder& operator=(const IncrementalEncoder&) = delete;
@@ -118,7 +117,7 @@ class IncrementalEncoder {
   bool ReadPanels(BinaryReader* reader, bool tail, int expected_items);
 
   // Repacks the K/V arena into the smallest geometric capacity that holds
-  // the live items, returning the slack to BufferPool (shard compaction).
+  // the live items, returning the slack to malloc (shard compaction).
   // A no-op when the arena is already tight.
   void ShrinkToFit();
 
@@ -134,26 +133,6 @@ class IncrementalEncoder {
   size_t scratch_high_water() const { return scratch_.high_water(); }
 
  private:
-  // A BufferPool-backed grow-only scratch buffer: the q/k/v/attended/hidden
-  // scratch of the seed implementation was reallocated on every AppendItem
-  // call; these persist per engine and return their storage to the pool on
-  // destruction (so a rotated-in engine reuses the old engine's buffers).
-  class PooledBuffer {
-   public:
-    PooledBuffer() = default;
-    ~PooledBuffer();
-    PooledBuffer(const PooledBuffer&) = delete;
-    PooledBuffer& operator=(const PooledBuffer&) = delete;
-
-    // Grow-only; existing contents are NOT preserved across growth.
-    float* Ensure(size_t n);
-    float* data() { return buffer_.data(); }
-    std::vector<float>& vec() { return buffer_; }
-
-   private:
-    std::vector<float> buffer_;
-  };
-
   // y = x W (+ b); row vector times weight matrix.
   static void LinearRow(const std::vector<float>& x, const Tensor& weight,
                         const Tensor& bias, std::vector<float>* y);
@@ -185,14 +164,15 @@ class IncrementalEncoder {
   int num_heads_;
   int num_items_ = 0;
   int capacity_ = 0;           // cached items the arena can hold
-  std::vector<float> arena_;   // pooled; see layout above
+  std::vector<float> arena_;   // see layout above
 
-  // Single-row scratch (AppendItem).
-  PooledBuffer x_, q_, k_, v_, attended_, mixed_, h_, hidden_, f_;
+  // Single-row scratch (AppendItem): grow-only vectors that persist per
+  // engine instead of being reallocated on every call.
+  std::vector<float> x_, q_, k_, v_, attended_, mixed_, h_, hidden_, f_;
   // Batched scratch (AppendBatch): all [batch, ·] panels come from this
   // monotonic arena, reset at the top of every batch — per-microbatch
-  // scratch costs one pointer bump per panel instead of nine BufferPool
-  // draws (and plateaus at the largest batch seen).
+  // scratch costs one pointer bump per panel instead of nine allocations
+  // (and plateaus at the largest batch seen).
   ScratchArena scratch_;
   std::vector<float> scores_;
   std::vector<int> targets_;

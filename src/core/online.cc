@@ -20,8 +20,8 @@ void OnlineClassifier::Repool(std::pmr::memory_resource* memory) {
   tracker_.Repool(memory);
   auto fresh = std::make_unique<KeyStateMap>(memory);
   fresh->reserve(keys_->size());
-  // KeyState's tensors are shared handles into BufferPool storage — the
-  // copy moves the map nodes into the new pool, not the float data.
+  // KeyState's tensors are shared handles to heap storage — the copy
+  // moves the map nodes into the new pool, not the float data.
   for (const auto& [key, state] : *keys_) fresh->emplace(key, state);
   keys_ = std::move(fresh);
   memory_ = memory;

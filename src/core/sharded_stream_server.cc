@@ -12,6 +12,9 @@ namespace kvec {
 
 namespace {
 
+constexpr char kBadShardSections[] =
+    "a shard section is missing, repeated, corrupt or cut for another model";
+
 // Wellons' lowbias32 integer mixer: adjacent key ids must land on
 // different shards, so the trivial key % num_shards is not enough once
 // callers assign keys in blocks (episode offsets, per-tenant ranges).
@@ -179,8 +182,12 @@ void ShardedStreamServer::CountShed(Shard* shard, int64_t batches,
 }
 
 int ShardedStreamServer::ShardOf(int key) const {
+  return ShardOf(key, num_shards());
+}
+
+int ShardedStreamServer::ShardOf(int key, int num_shards) {
   return static_cast<int>(MixKey(static_cast<uint32_t>(key)) %
-                          static_cast<uint32_t>(shards_.size()));
+                          static_cast<uint32_t>(num_shards));
 }
 
 std::vector<StreamEvent> ShardedStreamServer::Observe(const Item& item) {
@@ -362,31 +369,43 @@ Checkpoint ShardedStreamServer::BuildCheckpoint(
 
 bool ShardedStreamServer::StageFromCheckpoint(
     const Checkpoint& checkpoint,
-    std::vector<std::unique_ptr<StreamServer>>* staged) {
+    std::vector<std::unique_ptr<StreamServer>>* staged, std::string* error) {
   // Delta containers (version 2) never reach here; the chain loader
   // decodes them itself. A full restore must refuse them outright.
-  if (checkpoint.version != kCheckpointFormatVersion) return false;
+  if (!IsFullCheckpoint(checkpoint, error)) return false;
   const CheckpointSection* manifest =
       checkpoint.Find(kCheckpointSectionShardManifest);
-  if (manifest == nullptr) return false;
+  if (manifest == nullptr) {
+    return CheckpointFail(error,
+                          "checkpoint has no shard manifest (it was not "
+                          "written by a sharded server)");
+  }
   BinaryReader manifest_reader(manifest->payload);
   const int32_t num_shards = manifest_reader.ReadInt32();
-  if (!manifest_reader.ok() ||
-      num_shards != static_cast<int32_t>(shards_.size())) {
-    return false;
+  if (!manifest_reader.ok()) {
+    return CheckpointFail(error, "checkpoint has a corrupt shard manifest");
+  }
+  if (num_shards != static_cast<int32_t>(shards_.size())) {
+    return CheckpointFail(error, "checkpoint has " +
+                                     std::to_string(num_shards) +
+                                     " shards, server has " +
+                                     std::to_string(shards_.size()));
   }
 
   // Stage every shard before swapping any in. Staging touches no live
   // shard state, so it runs on the calling thread in both modes.
   staged->clear();
   staged->resize(shards_.size());
-  return ReadShardSections(
-      checkpoint, kCheckpointSectionShard,
-      [this, staged](int shard, BinaryReader* reader) {
-        (*staged)[shard] =
-            std::make_unique<StreamServer>(model_, config_.shard);
-        return (*staged)[shard]->Restore(reader);
-      });
+  if (!ReadShardSections(
+          checkpoint, kCheckpointSectionShard,
+          [this, staged](int shard, BinaryReader* reader) {
+            (*staged)[shard] =
+                std::make_unique<StreamServer>(model_, config_.shard);
+            return (*staged)[shard]->Restore(reader);
+          })) {
+    return CheckpointFail(error, kBadShardSections);
+  }
+  return true;
 }
 
 void ShardedStreamServer::CommitStaged(
@@ -406,9 +425,10 @@ void ShardedStreamServer::CommitStaged(
   });
 }
 
-bool ShardedStreamServer::RestoreFromCheckpoint(const Checkpoint& checkpoint) {
+bool ShardedStreamServer::RestoreFromCheckpoint(const Checkpoint& checkpoint,
+                                                std::string* error) {
   std::vector<std::unique_ptr<StreamServer>> staged;
-  if (!StageFromCheckpoint(checkpoint, &staged)) return false;
+  if (!StageFromCheckpoint(checkpoint, &staged, error)) return false;
   CommitStaged(&staged);
   return true;
 }
@@ -417,20 +437,22 @@ std::string ShardedStreamServer::EncodeCheckpoint() const {
   return CheckpointEncode(BuildCheckpoint());
 }
 
-bool ShardedStreamServer::RestoreCheckpoint(const std::string& bytes) {
+bool ShardedStreamServer::RestoreCheckpoint(const std::string& bytes,
+                                            std::string* error) {
   Checkpoint checkpoint;
-  return CheckpointDecode(bytes, &checkpoint) &&
-         RestoreFromCheckpoint(checkpoint);
+  return CheckpointDecode(bytes, &checkpoint, error) &&
+         RestoreFromCheckpoint(checkpoint, error);
 }
 
 bool ShardedStreamServer::SaveCheckpoint(const std::string& path) const {
   return CheckpointSave(path, BuildCheckpoint());
 }
 
-bool ShardedStreamServer::LoadCheckpoint(const std::string& path) {
+bool ShardedStreamServer::LoadCheckpoint(const std::string& path,
+                                         std::string* error) {
   Checkpoint checkpoint;
-  return CheckpointLoad(path, &checkpoint) &&
-         RestoreFromCheckpoint(checkpoint);
+  return CheckpointLoad(path, &checkpoint, error) &&
+         RestoreFromCheckpoint(checkpoint, error);
 }
 
 std::string ShardedStreamServer::DeltaPath(const std::string& base_path,
@@ -509,16 +531,18 @@ bool ShardedStreamServer::CheckpointIncremental(
 }
 
 bool ShardedStreamServer::RestoreFromCheckpointChain(
-    const std::string& base_path, IncrementalCheckpointState* state) {
+    const std::string& base_path, IncrementalCheckpointState* state,
+    std::string* error) {
   std::string base_bytes;
-  if (!ReadFile(base_path, &base_bytes)) return false;
+  if (!ReadFile(base_path, &base_bytes)) {
+    return CheckpointFail(error, "cannot read the file");
+  }
   Checkpoint base;
-  if (!CheckpointDecode(base_bytes, &base)) return false;
-  // The chain root must be a full checkpoint; a delta file at the base
-  // path is a mix-up, not a base.
-  if (base.version != kCheckpointFormatVersion) return false;
+  if (!CheckpointDecode(base_bytes, &base, error)) return false;
+  // The chain root must be a full checkpoint; staging refuses a delta
+  // file at the base path (a mix-up, not a base).
   std::vector<std::unique_ptr<StreamServer>> staged;
-  if (!StageFromCheckpoint(base, &staged)) return false;
+  if (!StageFromCheckpoint(base, &staged, error)) return false;
 
   const uint64_t base_fp = CheckpointFingerprint(base_bytes);
   uint64_t prev_fp = base_fp;
@@ -528,12 +552,20 @@ bool ShardedStreamServer::RestoreFromCheckpointChain(
     if (!ReadFile(DeltaPath(base_path, seq), &delta_bytes)) {
       break;  // end of chain
     }
+    const std::string link = "delta " + std::to_string(seq) + ": ";
     Checkpoint delta;
-    if (!CheckpointDecode(delta_bytes, &delta)) return false;
-    if (delta.version != kCheckpointDeltaFormatVersion) return false;
+    std::string decode_error;
+    if (!CheckpointDecode(delta_bytes, &delta, &decode_error)) {
+      return CheckpointFail(error, link + decode_error);
+    }
+    if (delta.version != kCheckpointDeltaFormatVersion) {
+      return CheckpointFail(error, link + "not a delta checkpoint");
+    }
     const CheckpointSection* manifest =
         delta.Find(kCheckpointSectionDeltaManifest);
-    if (manifest == nullptr) return false;
+    if (manifest == nullptr) {
+      return CheckpointFail(error, link + "no delta manifest");
+    }
     BinaryReader manifest_reader(manifest->payload);
     const uint64_t stored_base =
         static_cast<uint64_t>(manifest_reader.ReadInt64());
@@ -547,13 +579,13 @@ bool ShardedStreamServer::RestoreFromCheckpointChain(
     if (!manifest_reader.ok() || stored_base != base_fp ||
         stored_prev != prev_fp || stored_seq != seq ||
         num_shards != static_cast<int32_t>(shards_.size())) {
-      return false;
+      return CheckpointFail(error, link + "does not link to this chain");
     }
     if (!ReadShardSections(delta, kCheckpointSectionShardDelta,
                            [&staged](int shard, BinaryReader* reader) {
                              return staged[shard]->ApplyDelta(reader);
                            })) {
-      return false;
+      return CheckpointFail(error, link + kBadShardSections);
     }
     prev_fp = CheckpointFingerprint(delta_bytes);
   }

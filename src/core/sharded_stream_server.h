@@ -108,6 +108,9 @@ class ShardedStreamServer {
 
   // The shard an item with this key is routed to (deterministic hash).
   int ShardOf(int key) const;
+  // The same routing for a server of `num_shards` shards, so a caller can
+  // size shards before constructing one.
+  static int ShardOf(int key, int num_shards);
 
   // Waited-on ingest: returns the item's events. Thread-safe; never shed.
   std::vector<StreamEvent> Observe(const Item& item);
@@ -184,11 +187,13 @@ class ShardedStreamServer {
   // shard leaves the server untouched. Restore also re-baselines the
   // transport counters (items_submitted := restored items_processed, shed
   // counters zeroed) so the overload invariant keeps holding after a warm
-  // restart.
+  // restart. A failed restore or load says why in `*error` when `error` is
+  // non-null (e.g. "checkpoint has 4 shards, server has 2").
   std::string EncodeCheckpoint() const;
-  bool RestoreCheckpoint(const std::string& bytes);
+  bool RestoreCheckpoint(const std::string& bytes,
+                         std::string* error = nullptr);
   bool SaveCheckpoint(const std::string& path) const;
-  bool LoadCheckpoint(const std::string& path);
+  bool LoadCheckpoint(const std::string& path, std::string* error = nullptr);
 
   // ---- Incremental checkpoints: delta chains (docs/SERVING.md). ----
   //
@@ -228,9 +233,11 @@ class ShardedStreamServer {
   // the chain: dirty tracking is re-armed at the restored state and
   // `state` is filled; a null `state` is a plain warm restart (tracking
   // stays disarmed so the dirty map cannot grow on a server that never
-  // checkpoints again).
+  // checkpoints again). A failed load says why in `*error` when `error` is
+  // non-null.
   bool RestoreFromCheckpointChain(const std::string& base_path,
-                                  IncrementalCheckpointState* state = nullptr);
+                                  IncrementalCheckpointState* state = nullptr,
+                                  std::string* error = nullptr);
 
  private:
   using ServerSlot = std::unique_ptr<StreamServer>;
@@ -311,13 +318,14 @@ class ShardedStreamServer {
   // `stage_delta_baseline`, each shard also stages its dirty-key baseline
   // in the same task as its snapshot (an incremental rebase).
   Checkpoint BuildCheckpoint(bool stage_delta_baseline = false) const;
-  bool RestoreFromCheckpoint(const Checkpoint& checkpoint);
+  bool RestoreFromCheckpoint(const Checkpoint& checkpoint, std::string* error);
   // Restore split in two so the chain loader can apply deltas between the
   // staging and the commit: Stage parses a full checkpoint into fresh
   // per-shard servers (no live state touched), Commit swaps them all in
   // and re-baselines the transport counters.
   bool StageFromCheckpoint(const Checkpoint& checkpoint,
-                           std::vector<std::unique_ptr<StreamServer>>* staged);
+                           std::vector<std::unique_ptr<StreamServer>>* staged,
+                           std::string* error);
   void CommitStaged(std::vector<std::unique_ptr<StreamServer>>* staged);
 
   const KvecModel& model_;

@@ -557,35 +557,46 @@ Checkpoint StreamServer::BuildCheckpoint() const {
   return checkpoint;
 }
 
-bool StreamServer::RestoreFromCheckpoint(const Checkpoint& checkpoint) {
+bool StreamServer::RestoreFromCheckpoint(const Checkpoint& checkpoint,
+                                         std::string* error) {
   // Delta containers (version 2) carry partial state and only make sense
   // relative to a staged base; a full restore must refuse them.
-  if (checkpoint.version != kCheckpointFormatVersion) return false;
+  if (!IsFullCheckpoint(checkpoint, error)) return false;
   const CheckpointSection* section =
       checkpoint.Find(kCheckpointSectionStreamServer);
-  if (section == nullptr) return false;
+  if (section == nullptr) {
+    return CheckpointFail(error,
+                          "checkpoint has no single-server section (it was "
+                          "not written by an unsharded server)");
+  }
   BinaryReader reader(section->payload);
-  return Restore(&reader);
+  if (!Restore(&reader)) {
+    return CheckpointFail(
+        error, "server section is corrupt or cut for another model");
+  }
+  return true;
 }
 
 std::string StreamServer::EncodeCheckpoint() const {
   return CheckpointEncode(BuildCheckpoint());
 }
 
-bool StreamServer::RestoreCheckpoint(const std::string& bytes) {
+bool StreamServer::RestoreCheckpoint(const std::string& bytes,
+                                     std::string* error) {
   Checkpoint checkpoint;
-  return CheckpointDecode(bytes, &checkpoint) &&
-         RestoreFromCheckpoint(checkpoint);
+  return CheckpointDecode(bytes, &checkpoint, error) &&
+         RestoreFromCheckpoint(checkpoint, error);
 }
 
 bool StreamServer::SaveCheckpoint(const std::string& path) const {
   return CheckpointSave(path, BuildCheckpoint());
 }
 
-bool StreamServer::LoadCheckpoint(const std::string& path) {
+bool StreamServer::LoadCheckpoint(const std::string& path,
+                                  std::string* error) {
   Checkpoint checkpoint;
-  return CheckpointLoad(path, &checkpoint) &&
-         RestoreFromCheckpoint(checkpoint);
+  return CheckpointLoad(path, &checkpoint, error) &&
+         RestoreFromCheckpoint(checkpoint, error);
 }
 
 std::vector<StreamEvent> StreamServer::Flush() {

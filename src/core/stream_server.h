@@ -215,10 +215,12 @@ class StreamServer {
 
   // Convenience wrappers around the checkpoint container: one
   // kCheckpointSectionStreamServer section framed with magic + version.
+  // A failed restore or load says why in `*error` when `error` is non-null.
   std::string EncodeCheckpoint() const;
-  bool RestoreCheckpoint(const std::string& bytes);
+  bool RestoreCheckpoint(const std::string& bytes,
+                         std::string* error = nullptr);
   bool SaveCheckpoint(const std::string& path) const;
-  bool LoadCheckpoint(const std::string& path);
+  bool LoadCheckpoint(const std::string& path, std::string* error = nullptr);
 
   // ---- Incremental (delta) checkpointing (docs/SERVING.md). ----
   //
@@ -307,7 +309,7 @@ class StreamServer {
 
   // Shared bodies of the four checkpoint entry points.
   Checkpoint BuildCheckpoint() const;
-  bool RestoreFromCheckpoint(const Checkpoint& checkpoint);
+  bool RestoreFromCheckpoint(const Checkpoint& checkpoint, std::string* error);
 
   // Remove a key from open and by_last_seen together — the only place
   // the two structures' mirror invariant is maintained on the close path.

@@ -1,98 +1,49 @@
-// A thread-safe free list of float buffers behind tensor allocation.
+// A process-wide count of tensor buffer allocations.
 //
-// Every op output is a fresh TensorImpl with a std::vector<float> payload;
-// a training step makes hundreds of them and the serving loop makes several
-// per stream item. Instead of hitting the allocator each time, TensorImpl
-// returns its buffers here on destruction and Tensor::Zeros/Full (and
-// EnsureGrad) reacquire them. Buffers are keyed by capacity and handed out
-// smallest-sufficient-first (bounded by kMaxCapacitySlackFactor, below), so
-// steady-state training/serving recycles the same arena of vectors with
-// zero malloc traffic.
+// Tensor storage is a plain std::vector<float> that the tensor owns and
+// frees; nothing is recycled. Per-key serving state and microbatch scratch
+// live in each shard's ShardPool/ScratchArena (util/arena.h), and every
+// other buffer comes from malloc.
 //
-// The pool is bounded (kDefaultMaxCachedFloats); releases beyond the bound
-// free normally. Disable with SetEnabled(false) (or KVEC_NO_BUFFER_POOL=1 in
-// the environment) to fall back to plain allocation, e.g. under ASan when
-// hunting use-after-free through recycled storage.
+// This counter remains only because the serving benchmark's layer walk
+// (perfbench/src/layer_walk.cc) reads BufferPool::Global().stats() for its
+// tensor.pool_* metrics, and the benchmark's files are frozen. Each tensor
+// buffer allocation (Zeros/Full, op outputs, gradients) adds one to
+// `misses`; `hits` is always 0. Renaming it waits for a change to the
+// benchmark.
 #pragma once
 
-#include <cstddef>
+#include <atomic>
 #include <cstdint>
-#include <map>
-#include <vector>
-
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace kvec {
 
 class BufferPool {
  public:
-  // ~256 MB of cached float storage.
-  static constexpr size_t kDefaultMaxCachedFloats = size_t{1} << 26;
-
-  // A cached buffer is handed out only if its capacity is at most this
-  // factor times the request. Without the cap, the smallest-sufficient
-  // lookup can pin a huge buffer to a tiny request (ask for 16 floats,
-  // receive a 1M-float block), starving later large acquires and inflating
-  // live memory; an oversized candidate is rejected (counted in
-  // Stats::oversized_rejects) and the acquire falls through to a miss.
-  static constexpr size_t kMaxCapacitySlackFactor = 2;
-
   struct Stats {
-    uint64_t hits = 0;      // acquires served from the free list
-    uint64_t misses = 0;    // acquires that had to allocate
-    uint64_t returned = 0;  // buffers accepted back
-    uint64_t dropped = 0;   // buffers rejected (pool full/disabled)
-    // Misses where a cached buffer fit but exceeded the slack cap.
-    uint64_t oversized_rejects = 0;
-    // Cached buffers freed to make room for a smaller incoming release.
-    uint64_t evicted = 0;
-    size_t cached_floats = 0;
-    size_t cached_buffers = 0;
+    uint64_t hits = 0;    // always 0: nothing is recycled
+    uint64_t misses = 0;  // tensor buffer allocations
   };
 
-  // Process-wide pool used by Tensor. Never destroyed (tensors may die
+  // Process-wide counter used by Tensor. Never destroyed (tensors may die
   // during static teardown).
-  static BufferPool& Global();
+  static BufferPool& Global() {
+    static auto* pool = new BufferPool();
+    return *pool;
+  }
 
-  // A buffer with size() == n, every element set to `fill`.
-  std::vector<float> Acquire(size_t n, float fill) KVEC_EXCLUDES(mutex_);
+  void CountAllocation() {
+    allocations_.fetch_add(1, std::memory_order_relaxed);
+  }
 
-  // A buffer with size() == n and unspecified contents — for op outputs the
-  // caller overwrites entirely. A pool hit whose previous size covers n is
-  // O(1) (shrinking resize writes nothing); other paths fall back to a fill.
-  std::vector<float> AcquireUninitialized(size_t n) KVEC_EXCLUDES(mutex_);
-
-  // Hands storage back; takes any vector (moved-from, empty, oversized).
-  void Release(std::vector<float>&& buffer) KVEC_EXCLUDES(mutex_);
-
-  void SetEnabled(bool enabled) KVEC_EXCLUDES(mutex_);
-  bool enabled() const KVEC_EXCLUDES(mutex_);
-
-  // Caps cached storage (in floats). Shrinking below the current cache
-  // does not free anything eagerly; the next releases rebalance.
-  void SetMaxCachedFloats(size_t max_cached_floats) KVEC_EXCLUDES(mutex_);
-
-  // Drops all cached buffers (keeps the enabled flag).
-  void Clear() KVEC_EXCLUDES(mutex_);
-
-  Stats stats() const KVEC_EXCLUDES(mutex_);
+  Stats stats() const {
+    return {0, allocations_.load(std::memory_order_relaxed)};
+  }
 
  private:
-  BufferPool();
+  BufferPool() = default;
 
-  // Pops the smallest sufficient free buffer (empty vector on miss).
-  std::vector<float> Take(size_t n) KVEC_EXCLUDES(mutex_);
-
-  mutable Mutex mutex_;
-  bool enabled_ KVEC_GUARDED_BY(mutex_) = true;
-  size_t max_cached_floats_ KVEC_GUARDED_BY(mutex_) = kDefaultMaxCachedFloats;
-  size_t cached_floats_ KVEC_GUARDED_BY(mutex_) = 0;
-  // capacity -> free buffers of exactly that capacity.
-  std::map<size_t, std::vector<std::vector<float>>> free_lists_
-      KVEC_GUARDED_BY(mutex_);
-  Stats stats_ KVEC_GUARDED_BY(mutex_);
+  std::atomic<uint64_t> allocations_{0};
 };
 
 }  // namespace kvec
-

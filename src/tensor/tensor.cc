@@ -1,6 +1,7 @@
 #include "tensor/tensor.h"
 
 #include <atomic>
+#include <limits>
 #include <sstream>
 #include <unordered_set>
 
@@ -13,20 +14,22 @@ namespace {
 thread_local int t_inference_depth = 0;
 std::atomic<uint64_t> g_graph_nodes_recorded{0};
 
+// Every tensor-owned buffer is allocated here, so the process-wide
+// allocation counter sees each one.
+std::vector<float> AllocateBuffer(size_t n, float fill) {
+  BufferPool::Global().CountAllocation();
+  return std::vector<float>(n, fill);
+}
+
 }  // namespace
 
 InferenceMode::InferenceMode() { ++t_inference_depth; }
 InferenceMode::~InferenceMode() { --t_inference_depth; }
 bool InferenceMode::Enabled() { return t_inference_depth > 0; }
 
-TensorImpl::~TensorImpl() {
-  if (data_from_pool) BufferPool::Global().Release(std::move(data));
-  BufferPool::Global().Release(std::move(grad));
-}
-
 void TensorImpl::EnsureGrad() {
   if (grad.size() != data.size()) {
-    grad = BufferPool::Global().Acquire(data.size(), 0.0f);
+    grad = AllocateBuffer(data.size(), 0.0f);
   }
 }
 
@@ -40,9 +43,7 @@ Tensor Tensor::Full(int rows, int cols, float value, bool requires_grad) {
   auto impl = std::make_shared<TensorImpl>();
   impl->rows = rows;
   impl->cols = cols;
-  impl->data =
-      BufferPool::Global().Acquire(static_cast<size_t>(rows) * cols, value);
-  impl->data_from_pool = true;
+  impl->data = AllocateBuffer(static_cast<size_t>(rows) * cols, value);
   impl->requires_grad = requires_grad;
   return Tensor(std::move(impl));
 }
@@ -134,7 +135,7 @@ void Tensor::ZeroGrad() {
   if (impl_->grad.size() == impl_->data.size()) {
     std::fill(impl_->grad.begin(), impl_->grad.end(), 0.0f);
   } else {
-    impl_->grad = BufferPool::Global().Acquire(impl_->data.size(), 0.0f);
+    impl_->grad = AllocateBuffer(impl_->data.size(), 0.0f);
   }
 }
 
@@ -201,14 +202,19 @@ Tensor MakeOpOutput(int rows, int cols,
   KVEC_CHECK_GT(rows, 0);
   KVEC_CHECK_GT(cols, 0);
   requires_grad = requires_grad && !InferenceMode::Enabled();
-  // Op outputs are written in full by the caller, so the buffer contents can
-  // stay uninitialised (ops that accumulate zero it themselves).
+  // Op outputs are written in full by the caller (ops that accumulate zero
+  // the buffer themselves). Debug builds poison the fresh buffer so an op
+  // that fails to overwrite its whole output surfaces as NaNs instead of
+  // silently reading zeros.
+#ifdef NDEBUG
+  constexpr float kUnwritten = 0.0f;
+#else
+  constexpr float kUnwritten = std::numeric_limits<float>::quiet_NaN();
+#endif
   auto impl = std::make_shared<TensorImpl>();
   impl->rows = rows;
   impl->cols = cols;
-  impl->data = BufferPool::Global().AcquireUninitialized(
-      static_cast<size_t>(rows) * cols);
-  impl->data_from_pool = true;
+  impl->data = AllocateBuffer(static_cast<size_t>(rows) * cols, kUnwritten);
   impl->requires_grad = requires_grad;
   Tensor out(std::move(impl));
   if (requires_grad) {

@@ -81,8 +81,6 @@ bool BinaryWriter::SaveToFile(const std::string& path) const {
   return AtomicWriteFile(path, buffer_);
 }
 
-BinaryReader::BinaryReader(std::string buffer) : buffer_(std::move(buffer)) {}
-
 bool BinaryReader::Consume(void* data, size_t size) {
   if (!ok_) return false;
   if (size > buffer_.size() - position_) {
@@ -234,26 +232,34 @@ std::string CheckpointEncode(const Checkpoint& checkpoint) {
   return out;
 }
 
-bool CheckpointDecode(const std::string& bytes, Checkpoint* out) {
+bool CheckpointDecode(const std::string& bytes, Checkpoint* out,
+                      std::string* error) {
   FrameReader frame(bytes);
   uint32_t magic = 0;
   if (!frame.Read(&magic, sizeof(magic)) || magic != kCheckpointMagic) {
-    return false;
+    return CheckpointFail(error, "not a kvec checkpoint (bad magic)");
   }
   int32_t version = 0;
-  if (!frame.Read(&version, sizeof(version))) return false;
+  if (!frame.Read(&version, sizeof(version))) {
+    return CheckpointFail(error, "checkpoint is truncated");
+  }
   // Future versions are unreadable by design: the writer bumps the version
   // exactly when an existing payload layout changes.
-  if (version < 1 || version > kCheckpointMaxFormatVersion) return false;
+  if (version < 1 || version > kCheckpointMaxFormatVersion) {
+    return CheckpointFail(error, "unsupported checkpoint format version " +
+                                     std::to_string(version));
+  }
   int32_t count = 0;
-  if (!frame.Read(&count, sizeof(count))) return false;
+  if (!frame.Read(&count, sizeof(count))) {
+    return CheckpointFail(error, "checkpoint is truncated");
+  }
   // Each section costs at least its 12-byte header: a corrupted count
   // cannot demand more sections than the remaining bytes could hold.
   constexpr size_t kSectionHeaderBytes =
       sizeof(int32_t) + sizeof(int64_t);
   if (count < 0 ||
       static_cast<uint64_t>(count) > frame.remaining() / kSectionHeaderBytes) {
-    return false;
+    return CheckpointFail(error, "checkpoint has a corrupt section count");
   }
   Checkpoint checkpoint;
   checkpoint.version = version;
@@ -264,11 +270,13 @@ bool CheckpointDecode(const std::string& bytes, Checkpoint* out) {
     if (!frame.Read(&section.id, sizeof(section.id)) ||
         !frame.Read(&length, sizeof(length)) ||
         !frame.ReadPayload(length, &section.payload)) {
-      return false;
+      return CheckpointFail(error, "checkpoint is truncated or corrupt");
     }
     checkpoint.sections.push_back(std::move(section));
   }
-  if (frame.remaining() != 0) return false;  // trailing garbage
+  if (frame.remaining() != 0) {
+    return CheckpointFail(error, "checkpoint has trailing bytes");
+  }
   *out = std::move(checkpoint);
   return true;
 }
@@ -280,9 +288,26 @@ bool CheckpointSave(const std::string& path, const Checkpoint& checkpoint) {
   return AtomicWriteFile(path, CheckpointEncode(checkpoint));
 }
 
-bool CheckpointLoad(const std::string& path, Checkpoint* out) {
+bool CheckpointLoad(const std::string& path, Checkpoint* out,
+                    std::string* error) {
   std::string bytes;
-  return ReadFile(path, &bytes) && CheckpointDecode(bytes, out);
+  if (!ReadFile(path, &bytes)) {
+    return CheckpointFail(error, "cannot read the file");
+  }
+  return CheckpointDecode(bytes, out, error);
+}
+
+bool CheckpointFail(std::string* error, std::string reason) {
+  if (error != nullptr) *error = std::move(reason);
+  return false;
+}
+
+bool IsFullCheckpoint(const Checkpoint& checkpoint, std::string* error) {
+  if (checkpoint.version == kCheckpointFormatVersion) return true;
+  return CheckpointFail(error, "checkpoint has format version " +
+                                   std::to_string(checkpoint.version) +
+                                   ", a full restore needs version " +
+                                   std::to_string(kCheckpointFormatVersion));
 }
 
 uint64_t CheckpointFingerprint(const std::string& bytes) {

@@ -32,6 +32,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace kvec {
@@ -65,7 +67,16 @@ class BinaryWriter {
 
 class BinaryReader {
  public:
-  explicit BinaryReader(std::string buffer);
+  // Reads `buffer` in place, without copying it; the bytes must outlive
+  // the reader.
+  explicit BinaryReader(std::string_view buffer) : buffer_(buffer) {}
+  // Takes ownership of a temporary buffer, so the reader cannot outlive it.
+  explicit BinaryReader(std::string&& buffer)
+      : owned_(std::move(buffer)), buffer_(owned_) {}
+
+  // The view may point into `owned_`, so a copy would dangle.
+  BinaryReader(const BinaryReader&) = delete;
+  BinaryReader& operator=(const BinaryReader&) = delete;
 
   // All reads fail closed: on truncation, tag mismatch, or a bad length
   // prefix they set ok() to false and return 0 / an empty value.
@@ -93,7 +104,8 @@ class BinaryReader {
   bool ConsumeSize(size_t elem_size, int64_t* size);
   void Fail() { ok_ = false; }
 
-  std::string buffer_;
+  std::string owned_;
+  std::string_view buffer_;
   size_t position_ = 0;
   bool ok_ = true;
 };
@@ -157,15 +169,25 @@ struct Checkpoint {
 std::string CheckpointEncode(const Checkpoint& checkpoint);
 
 // Parses `bytes`; returns false (leaving `*out` unspecified) on a bad
-// magic, an unknown future version, a malformed frame, or truncation.
-// Never aborts and never allocates more than `bytes.size()` payload.
-bool CheckpointDecode(const std::string& bytes, Checkpoint* out);
+// magic, an unknown future version, a malformed frame, or truncation, and
+// says which in `*error` when `error` is non-null. Never aborts and never
+// allocates more than `bytes.size()` payload.
+bool CheckpointDecode(const std::string& bytes, Checkpoint* out,
+                      std::string* error = nullptr);
 
 // File entry points: Save frames + writes with AtomicWriteFile (a failed
 // save leaves the previous file as it was), Load reads with ReadFile +
 // parses.
 bool CheckpointSave(const std::string& path, const Checkpoint& checkpoint);
-bool CheckpointLoad(const std::string& path, Checkpoint* out);
+bool CheckpointLoad(const std::string& path, Checkpoint* out,
+                    std::string* error = nullptr);
+
+// Stores `reason` in `*error` when `error` is non-null and returns false,
+// so a restore path can fail and say why in one statement.
+bool CheckpointFail(std::string* error, std::string reason);
+
+// True for a full (version 1) checkpoint; otherwise fails as above.
+bool IsFullCheckpoint(const Checkpoint& checkpoint, std::string* error);
 
 // FNV-1a 64 over the encoded bytes. Delta-chain manifests embed the base
 // checkpoint's fingerprint (and the previous link's) so a delta can never be

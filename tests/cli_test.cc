@@ -380,6 +380,35 @@ TEST(CliServe, InterruptDrainsReportsAndStillSavesTheCheckpoint) {
   std::filesystem::remove(checkpoint);
 }
 
+TEST(CliServe, FailedRestoreSaysWhy) {
+  const std::string checkpoint = "cli_test_four_shards.ckpt";
+  const std::string garbage = "cli_test_garbage.ckpt";
+  CliResult saved =
+      RunCli({"serve", "--shards", "4", "--save-checkpoint", checkpoint});
+  ASSERT_EQ(saved.code, 0) << saved.err;
+
+  // The key hash routes by shard count, so the restore must refuse and
+  // name both counts.
+  CliResult mismatch =
+      RunCli({"serve", "--shards", "2", "--load-checkpoint", checkpoint});
+  EXPECT_EQ(mismatch.code, 1);
+  EXPECT_NE(mismatch.err.find("checkpoint has 4 shards, server has 2"),
+            std::string::npos)
+      << mismatch.err;
+
+  {
+    std::ofstream out(garbage, std::ios::binary);
+    for (int i = 0; i < 100; ++i) out.put(static_cast<char>(i * 37 + 11));
+  }
+  CliResult corrupt =
+      RunCli({"serve", "--shards", "2", "--load-checkpoint", garbage});
+  EXPECT_EQ(corrupt.code, 1);
+  EXPECT_NE(corrupt.err.find("not a kvec checkpoint"), std::string::npos)
+      << corrupt.err;
+  std::filesystem::remove(checkpoint);
+  std::filesystem::remove(garbage);
+}
+
 }  // namespace
 }  // namespace cli
 }  // namespace kvec
